@@ -1,10 +1,10 @@
 """Sieve kernels producing dense arithmetic-function value arrays.
 
 All kernels share the same indexing convention: position ``i`` of the output
-array holds the value at the integer ``n = i + 1``.  Marking loops run
-block-by-block so large tables stay cache-friendly; the block decomposition
-never changes the result, only the order in which slices are touched, and a
-``segment_size`` at least as large as the span degenerates to one block.
+array holds the value at the integer ``n = i + 1``.  Every kind except Λ is a
+rule on the exponents in n = ∏ p^e and comes from one factor pass, the
+multiplicative-function sieve of Crandall & Pomerance, *Prime Numbers: A
+Computational Perspective*, ch. 3.
 """
 
 from __future__ import annotations
@@ -13,138 +13,81 @@ import math
 
 import numpy as np
 
-# Entries per marking block.  Large enough that desk-scale tables sieve in a
-# single block; small enough to keep the working set near cache size at 10^8.
-DEFAULT_SEGMENT_SIZE = 1 << 26
+
+def primes_upto(span: int) -> np.ndarray:
+    """All primes <= span, via the sieve of Eratosthenes."""
+    flags = np.ones(span + 1, dtype=bool)  # flags[n] <=> n prime
+    flags[:2] = False
+    for p in range(2, math.isqrt(span) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.nonzero(flags)[0]
 
 
-def _blocks(span: int, segment_size: int):
-    """Yield (lo, hi) position ranges covering [0, span)."""
-    step = max(1, segment_size)
-    for lo in range(0, span, step):
-        yield lo, min(lo + step, span)
+def _factor_pass(span: int, rule, combine=np.multiply) -> np.ndarray:
+    """Fold ``rule(p, e)`` over n = ∏ p^e for every n <= span.
 
-
-def _first_multiple_pos(q: int, lo: int) -> int:
-    """Smallest array position >= lo holding a multiple of q."""
-    return ((lo + q) // q) * q - 1
-
-
-def primes_upto(span: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
-    """All primes <= span, via a segmented Eratosthenes sieve."""
-    if span < 2:
-        return np.zeros(0, dtype=np.int64)
-    root = math.isqrt(span)
-    base = np.ones(root + 1, dtype=bool)
-    base[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if base[p]:
-            base[p * p :: p] = False
-    base_primes = np.nonzero(base)[0]
-
-    flags = np.ones(span, dtype=bool)  # flags[i] <=> i+1 prime
-    flags[0] = False
-    for lo, hi in _blocks(span, segment_size):
-        for p in base_primes:
-            p = int(p)
-            start = max(p * p - 1, _first_multiple_pos(p, lo))
-            if start < hi:
-                flags[start:hi:p] = False
-        # base primes themselves were struck as p*p's divisors only from p*p
-        # onward, so they survive; nothing to restore.
-    return np.nonzero(flags)[0].astype(np.int64) + 1
-
-
-def constant_one(span: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
-    return np.ones(span, dtype=np.int64)
-
-
-def divisor_convolve(
-    f: np.ndarray, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> np.ndarray:
-    """Dirichlet convolution with the constant-one function.
-
-    Returns g with g(n) = sum over divisors d of n of f(d); iterating this
-    from f = 1 builds the divisor-tower functions.
+    ``combine`` is ``np.multiply`` for multiplicative functions and ``np.add``
+    for additive ones.  For each prime p <= √span the pass builds the exponent
+    of p in each multiple of p, folds rule(p, e) into those entries through a
+    lookup over e, and divides p^e out of ``rest``.  What is left of ``rest``
+    is 1 or a single prime P > √span, which contributes rule(P, 1); ``rule``
+    must therefore also accept an array of primes at e = 1.
     """
-    span = f.size
-    g = np.zeros(span, dtype=f.dtype)
-    for lo, hi in _blocks(span, segment_size):
-        for d in range(1, hi + 1):
-            start = _first_multiple_pos(d, lo)
-            if start < hi:
-                g[start:hi:d] += f[d - 1]
-    return g
-
-
-def divisor_tower(
-    span: int, order: int, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> np.ndarray:
-    """d_l values: the number of ordered l-tuples multiplying to n."""
-    f = np.ones(span, dtype=np.int64)
-    for _ in range(order - 1):
-        f = divisor_convolve(f, segment_size)
-    return f
-
-
-def euler_phi(span: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
-    """Euler totient via the multiplicative subtraction sieve.
-
-    Each prime p strikes its multiples m with phi[m] -= phi[m] // p; the
-    division is exact at every step, so the block order is irrelevant.
-    """
-    phi = np.arange(1, span + 1, dtype=np.int64)
-    primes = primes_upto(span, segment_size)
-    for lo, hi in _blocks(span, segment_size):
-        for p in primes:
-            p = int(p)
-            if p > hi:
-                break
-            start = _first_multiple_pos(p, lo)
-            if start < hi:
-                seg = phi[start:hi:p]
-                seg -= seg // p
-    return phi
-
-
-def mu_squared(span: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
-    """Squarefree indicator: zero exactly at multiples of a square > 1."""
-    out = np.ones(span, dtype=np.int64)
-    root = math.isqrt(span)
-    for lo, hi in _blocks(span, segment_size):
-        for a in range(2, root + 1):
-            q = a * a
-            if q > hi:
-                break
-            start = _first_multiple_pos(q, lo)
-            if start < hi:
-                out[start:hi:q] = 0
+    out = np.full(span, combine.identity, dtype=np.int64)
+    # int32 halves the memory and the division time of rest where it fits.
+    rest = np.arange(1, span + 1, dtype=np.int32 if span < 2**31 else np.int64)
+    for p in primes_upto(math.isqrt(span)).tolist():
+        e = np.ones(span // p, dtype=np.intp)  # e[j] = exponent of p in (j+1)p
+        rest[p - 1 :: p] //= p
+        top, q = 1, p * p
+        while q <= span:
+            e[q // p - 1 :: q // p] += 1
+            rest[q - 1 :: q] //= p
+            top, q = top + 1, q * p
+        lookup = np.array([rule(p, k) for k in range(top + 1)], dtype=np.int64)
+        seg = out[p - 1 :: p]
+        combine(seg, lookup[e], out=seg)
+    combine(out, rule(rest, 1), out=out, where=rest > 1)
     return out
 
 
-def big_omega(span: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
-    """Number of prime factors with multiplicity, one slice pass per p^k."""
-    om = np.zeros(span, dtype=np.int64)
-    primes = primes_upto(span, segment_size)
-    for lo, hi in _blocks(span, segment_size):
-        for p in primes:
-            p = int(p)
-            if p > hi:
-                break
-            q = p
-            while q <= hi:
-                start = _first_multiple_pos(q, lo)
-                if start < hi:
-                    om[start:hi:q] += 1
-                q *= p
-    return om
+def constant_one(span: int) -> np.ndarray:
+    return np.ones(span, dtype=np.int64)
 
 
-def von_mangoldt(span: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
+def divisor_tower(span: int, order: int) -> np.ndarray:
+    """d_l values: the number of ordered l-tuples multiplying to n."""
+    return _factor_pass(span, lambda p, e: math.comb(e + order - 1, order - 1))
+
+
+def euler_phi(span: int) -> np.ndarray:
+    """Euler totient, p^(e-1)(p-1) per prime power."""
+    # At e = 1, p is the array of leftover primes: skip the p ** 0 temporary.
+    return _factor_pass(
+        span, lambda p, e: (p - 1) * p ** (e - 1) if e > 1 else p - 1
+    )
+
+
+def mu_squared(span: int) -> np.ndarray:
+    """Squarefree indicator: one exactly when every exponent is below 2."""
+    return _factor_pass(span, lambda p, e: int(e < 2))
+
+
+def big_omega(span: int) -> np.ndarray:
+    """Number of prime factors with multiplicity."""
+    return _factor_pass(span, lambda p, e: e, np.add)
+
+
+def liouville(span: int) -> np.ndarray:
+    """(-1)^[number of prime factors with multiplicity]."""
+    return _factor_pass(span, lambda p, e: (-1) ** e)
+
+
+def von_mangoldt(span: int) -> np.ndarray:
     """log p at prime powers p^k, zero elsewhere."""
     lam = np.zeros(span, dtype=np.float64)
-    for p in primes_upto(span, segment_size):
-        p = int(p)
+    for p in primes_upto(span).tolist():
         logp = math.log(p)
         q = p
         while q <= span:
@@ -153,42 +96,8 @@ def von_mangoldt(span: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndar
     return lam
 
 
-def smallest_prime_factor(
-    span: int, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> np.ndarray:
-    """spf[i] = least prime factor of i+1 (spf of 1 is set to 1)."""
-    spf = np.zeros(span, dtype=np.int64)
-    spf[0] = 1
-    primes = primes_upto(span, segment_size)
-    for lo, hi in _blocks(span, segment_size):
-        for p in primes:
-            p = int(p)
-            if p > hi:
-                break
-            start = _first_multiple_pos(p, lo)
-            if start < hi:
-                seg = spf[start:hi:p]
-                seg[seg == 0] = p
-    return spf
-
-
-def liouville(span: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
-    """(-1)^[number of prime factors], by peeling least prime factors.
-
-    Independent of the big_omega sieve on purpose: cross-checking the two
-    routes is a meaningful consistency test.
-    """
-    spf = smallest_prime_factor(span, segment_size).tolist()
-    lam = [0] * (span + 1)
-    if span >= 1:
-        lam[1] = 1
-    for v in range(2, span + 1):
-        lam[v] = -lam[v // spf[v - 1]]
-    return np.array(lam[1:], dtype=np.int64)
-
-
-def master_upsilon(span: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
+def master_upsilon(span: int) -> np.ndarray:
     """log n on integers with exactly two prime factors (with multiplicity)."""
-    om = big_omega(span, segment_size)
+    om = big_omega(span)
     logs = np.log(np.arange(1, span + 1, dtype=np.float64))
     return np.where(om == 2, logs, 0.0)

@@ -94,7 +94,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--limit", type=int, required=True)
     sp.add_argument("--headroom", type=int, default=0)
     sp.add_argument("--mode", choices=("auto", "exact", "floating"), default="auto")
-    sp.add_argument("--segment-size", type=int, default=0)
     sp.add_argument("--out", help="CSV output path (header n,value)")
     sp.set_defaults(func=_cmd_sieve)
 
@@ -163,11 +162,7 @@ def build_parser() -> _Parser:
 def _cmd_sieve(args) -> int:
     kind = _parse_kind(args.kind)
     table = build_table(
-        kind,
-        args.limit,
-        args.headroom,
-        mode=_payload_mode(args.mode),
-        segment_size=args.segment_size or None,
+        kind, args.limit, args.headroom, mode=_payload_mode(args.mode)
     )
     ps = prefix_sums(table)
     if args.out:
@@ -404,7 +399,6 @@ def _cmd_report(args) -> int:
             max_x,
             max(cfg.shifts),
             mode=_payload_mode(cfg.payload_mode),
-            segment_size=cfg.segment_size or None,
         )
         for x in cfg.x_grid:
             for r in type1_sweep(table, x, list(cfg.shifts), threads):
@@ -420,7 +414,6 @@ def _cmd_report(args) -> int:
         epsilon=cfg.epsilon,
         c=cfg.c,
         slack=cfg.slack,
-        segment_size=cfg.segment_size or None,
     )
     claims = consts.evaluate_claims(ids, list(cfg.x_grid), settings, threads)
     _emit_claims(

@@ -37,7 +37,9 @@ class ExperimentConfig:
     seed: int = 0
     budget: int = 100_000
     cap: int = 24
-    segment_size: int = 0  # 0 = library default
+    # Nothing reads segment_size; the key stays only so config_digest keeps
+    # its value (bench/reference/report.json pins the default digest).
+    segment_size: int = 0
     out_dir: str = "out"
     threads: int = 0  # 0 = host parallelism; never affects results
 

@@ -146,7 +146,6 @@ class ClaimSettings:
     epsilon: float = 0.1
     c: float = 1.0
     slack: float = 0.25
-    segment_size: int | None = None
 
 
 @dataclass(frozen=True)
@@ -370,12 +369,7 @@ def evaluate_claim(
 
     kind = spec.kind_fn(settings)
     shift = spec.shift_fn(settings) if spec.correlation == "type1" else 0
-    table = build_table(
-        kind,
-        max(grid),
-        shift_headroom=shift,
-        segment_size=settings.segment_size,
-    )
+    table = build_table(kind, max(grid), shift_headroom=shift)
 
     computed: list[float] = []
     bound: list[float] = []

@@ -298,7 +298,6 @@ def build_table(
     shift_headroom: int = 0,
     *,
     mode: PayloadMode | None = None,
-    segment_size: int | None = None,
 ) -> FunctionTable:
     """Sieve the values of ``kind`` over 1..limit (+headroom).
 
@@ -307,7 +306,6 @@ def build_table(
         limit: table covers 1..limit.
         shift_headroom: extra entries beyond the limit for shifted reads.
         mode: payload override; defaults to exact for integer-valued kinds.
-        segment_size: marking-block length; defaults to a cache-friendly 2**26.
 
     Returns:
         An immutable FunctionTable.
@@ -324,12 +322,11 @@ def build_table(
         raise UnsupportedKind(
             f"{kind.label} is real-valued and has no exact integer payload"
         )
-    seg = _sieves.DEFAULT_SEGMENT_SIZE if not segment_size else segment_size
     span = limit + shift_headroom
     if kind.variant is Variant.DIVISOR:
-        raw = _sieves.divisor_tower(span, kind.order, seg)
+        raw = _sieves.divisor_tower(span, kind.order)
     else:
-        raw = _SIEVES[kind.variant](span, seg)
+        raw = _SIEVES[kind.variant](span)
     if mode is PayloadMode.FLOATING and raw.dtype != np.float64:
         raw = raw.astype(np.float64)
     return FunctionTable(

@@ -8,6 +8,7 @@ divisor-sum identities, cross-table consistency).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -139,8 +140,12 @@ class TestBigOmegaAndLiouville:
             assert t.value(n) == len(factorize(n)), n
 
     def test_liouville_is_parity_of_big_omega(self):
-        # The two tables come from independent sieves (prime-power slicing
-        # vs. smallest-prime-factor recurrence), so agreement is a real check.
+        # Both tables come from the same factor pass, so the parity check
+        # compares two rules on one set of exponents; trial division gives
+        # the independent route.
+        small = build_table(LIOUVILLE, 3_000)
+        for n in range(1, 3_001):
+            assert small.value(n) == (-1) ** len(factorize(n)), n
         lim = 100_000
         lam = build_table(LIOUVILLE, lim)
         om = build_table(BIG_OMEGA, lim)
@@ -175,7 +180,7 @@ class TestConstantOne:
         assert t.mode is PayloadMode.EXACT
 
 
-# -- segmentation -------------------------------------------------------------
+# -- every sieved kind against a factorisation oracle ------------------------
 
 
 ALL_KINDS = [
@@ -190,28 +195,67 @@ ALL_KINDS = [
     FunctionKind.divisor(3),
 ]
 
+ORACLE_SPAN = 100_003  # build_table(kind, 100_000, 3)
 
-class TestSegmentation:
+
+@functools.cache
+def exponent_oracle(span: int) -> list[dict[int, int]]:
+    """{p: e} for n = 1..span, peeled with a smallest-prime-factor list."""
+    spf = list(range(span + 1))
+    for p in range(2, math.isqrt(span) + 1):
+        if spf[p] == p:
+            for m in range(p * p, span + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    out = []
+    for n in range(1, span + 1):
+        exps: dict[int, int] = {}
+        while n > 1:
+            p = spf[n]
+            exps[p] = exps.get(p, 0) + 1
+            n //= p
+        out.append(exps)
+    return out
+
+
+def value_oracle(kind: FunctionKind, n: int, exps: dict[int, int]):
+    omega = sum(exps.values())
+    if kind == CONSTANT_ONE:
+        return 1
+    if kind == VON_MANGOLDT:
+        return math.log(next(iter(exps))) if len(exps) == 1 else 0.0
+    if kind == EULER_PHI:
+        return math.prod((p - 1) * p ** (e - 1) for p, e in exps.items())
+    if kind == MU_SQUARED:
+        return int(all(e < 2 for e in exps.values()))
+    if kind == LIOUVILLE:
+        return (-1) ** omega
+    if kind == BIG_OMEGA:
+        return omega
+    if kind == MASTER_UPSILON:
+        return math.log(n) if omega == 2 else 0.0
+    l = kind.order
+    return math.prod(math.comb(e + l - 1, l - 1) for e in exps.values())
+
+
+class TestFactorSieve:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
-    def test_segmented_equals_monolithic(self, kind):
-        lim = 100_000
-        mono = build_table(kind, lim, 3, segment_size=lim + 3)
-        seg = build_table(kind, lim, 3, segment_size=10_000)
-        assert np.array_equal(np.asarray(mono.values), np.asarray(seg.values))
-
-    @pytest.mark.parametrize(
-        "kind", [VON_MANGOLDT, MU_SQUARED], ids=lambda k: k.label
-    )
-    def test_segmented_equals_monolithic_large(self, kind):
-        lim = 1_000_000
-        mono = build_table(kind, lim, segment_size=lim)
-        seg = build_table(kind, lim, segment_size=1 << 16)
-        assert np.array_equal(np.asarray(mono.values), np.asarray(seg.values))
-
-    def test_odd_segment_size(self):
-        mono = build_table(EULER_PHI, 1000, segment_size=1000)
-        seg = build_table(EULER_PHI, 1000, segment_size=7)
-        assert np.array_equal(np.asarray(mono.values), np.asarray(seg.values))
+    def test_matches_factorisation_oracle(self, kind):
+        # Spans 1..40 cover span < 4 and the spans p^2 where a prime first
+        # reaches the pass; 100_003 covers n = 2^16, the largest exponent.
+        want = [
+            value_oracle(kind, n, exps)
+            for n, exps in enumerate(exponent_oracle(ORACLE_SPAN), start=1)
+        ]
+        tables = [build_table(kind, s) for s in range(1, 41)]
+        tables.append(build_table(kind, 100_000, 3))
+        for t in tables:
+            got = np.asarray(t.values)
+            if kind == MASTER_UPSILON:
+                # np.log in the kernel, math.log here.
+                np.testing.assert_array_max_ulp(got, np.array(want[: t.span]), 1)
+            else:
+                assert got.tolist() == want[: t.span], t.span
 
 
 # -- table plumbing -----------------------------------------------------------

@@ -1,9 +1,10 @@
 """Exact and compensated accumulation primitives.
 
 Integer paths return Python ints and are exact regardless of magnitude:
-products are formed in int64 only when a conservative bound proves they
-cannot overflow, and otherwise the operands are split into high/low digits
-(or, past the recursion depth, handed to object-dtype arithmetic).
+a dot product runs as one ``np.dot`` when a conservative bound proves the
+whole reduction fits in int64; otherwise the products are formed in int64
+when they fit and summed in rows short enough that no row total overflows;
+otherwise the wider operand is split into high/low digits until they do.
 
 Float paths bound the relative error of long reductions by combining
 blockwise ``numpy`` kernels with ``math.fsum`` across block totals.
@@ -15,13 +16,13 @@ import math
 
 import numpy as np
 
-# int64 dot products are proven safe when max|a| * max|b| * len < 2**62,
-# leaving two guard bits under the 2**63 signed limit.
+# An int64 reduction is proven safe when its terms and their count satisfy
+# max|term| * len < 2**62, leaving a guard bit under the 2**63 signed limit.
 _SAFE_PRODUCT_BITS = 62
 
-# Top-level chunk for exact_dot: keeps the per-chunk object/int conversion
-# bounded while the safe-int64 fast path covers almost all real tables.
-_EXACT_CHUNK = 1 << 21
+# Top-level chunk for exact_dot: bounds the int64 product and digit
+# temporaries of the blocked reduction.
+_EXACT_CHUNK = 1 << 19
 
 # Digit width for the high/low split of oversized operands.
 _SPLIT_BITS = 20
@@ -31,37 +32,43 @@ _SPLIT_BITS = 20
 _FLOAT_BLOCK = 4096
 
 
-def _max_abs(a: np.ndarray) -> int:
+def _bits(a: np.ndarray) -> int:
+    """Bit length of max|a| (0 for an empty or all-zero array)."""
     if a.size == 0:
         return 0
-    return int(max(int(a.max()), -int(a.min())))
+    return max(int(a.max()), -int(a.min())).bit_length()
 
 
-def _dot_exact_core(a: np.ndarray, b: np.ndarray, depth: int) -> int:
+def _sum_int64(p: np.ndarray, bits: int) -> int:
+    """Exact sum of an int64 array whose entries satisfy |p| < 2**bits.
+
+    Rows of 2**(62 - bits) terms cannot overflow, so each row is summed in
+    int64 and the row totals, plus the tail, in Python ints.
+    """
+    row = 1 << max(_SAFE_PRODUCT_BITS - bits, 0)
+    if p.size <= row:
+        return int(p.sum())
+    full = p.size - p.size % row
+    totals = p[:full].reshape(-1, row).sum(axis=1).tolist()
+    return sum(totals) + int(p[full:].sum())
+
+
+def _dot_exact_core(a: np.ndarray, b: np.ndarray) -> int:
     """Exact dot product of two int64 arrays as a Python int."""
-    n = a.size
-    if n == 0:
+    ba, bb = _bits(a), _bits(b)
+    if ba == 0 or bb == 0:
         return 0
-    ma, mb = _max_abs(a), _max_abs(b)
-    if ma == 0 or mb == 0:
-        return 0
-    if ma.bit_length() + mb.bit_length() + n.bit_length() <= _SAFE_PRODUCT_BITS:
+    if ba + bb + a.size.bit_length() <= _SAFE_PRODUCT_BITS:
         return int(np.dot(a, b))
-    if depth <= 0:
-        return int(np.dot(a.astype(object), b.astype(object)))
-    # Split the wider operand into high/low digits and recurse: the halves
-    # are strictly narrower, so the recursion terminates.
-    if ma >= mb:
-        hi = a >> _SPLIT_BITS
-        lo = a - (hi << _SPLIT_BITS)
-        return (_dot_exact_core(hi, b, depth - 1) << _SPLIT_BITS) + _dot_exact_core(
-            lo, b, depth - 1
-        )
-    hi = b >> _SPLIT_BITS
-    lo = b - (hi << _SPLIT_BITS)
-    return (_dot_exact_core(a, hi, depth - 1) << _SPLIT_BITS) + _dot_exact_core(
-        a, lo, depth - 1
-    )
+    if ba + bb <= _SAFE_PRODUCT_BITS:
+        return _sum_int64(a * b, ba + bb)
+    # Split the wider operand into high/low digits and recurse: both digits
+    # are strictly narrower, so ba + bb drops and the recursion terminates.
+    if ba < bb:
+        a, b = b, a
+    hi = a >> _SPLIT_BITS
+    lo = a & ((1 << _SPLIT_BITS) - 1)
+    return (_dot_exact_core(hi, b) << _SPLIT_BITS) + _dot_exact_core(lo, b)
 
 
 def exact_dot(a: np.ndarray, b: np.ndarray) -> int:
@@ -77,30 +84,21 @@ def exact_dot(a: np.ndarray, b: np.ndarray) -> int:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.dtype == object or b.dtype == object:
         return int(np.dot(a.astype(object), b.astype(object))) if a.size else 0
-    a64 = np.ascontiguousarray(a, dtype=np.int64)
-    b64 = np.ascontiguousarray(b, dtype=np.int64)
+    a64 = np.asarray(a, dtype=np.int64)
+    b64 = np.asarray(b, dtype=np.int64)
     total = 0
     for start in range(0, a64.size, _EXACT_CHUNK):
         stop = start + _EXACT_CHUNK
-        total += _dot_exact_core(a64[start:stop], b64[start:stop], depth=3)
+        total += _dot_exact_core(a64[start:stop], b64[start:stop])
     return total
 
 
 def exact_sum(a: np.ndarray) -> int:
     """Return ``sum(a)`` exactly as a Python int."""
-    if a.size == 0:
-        return 0
     if a.dtype == object:
         return int(a.sum())
-    a64 = np.ascontiguousarray(a, dtype=np.int64)
-    ma = _max_abs(a64)
-    if ma == 0:
-        return 0
-    if ma.bit_length() + a64.size.bit_length() <= _SAFE_PRODUCT_BITS:
-        return int(a64.sum())
-    hi = a64 >> _SPLIT_BITS
-    lo = a64 - (hi << _SPLIT_BITS)
-    return (exact_sum(hi) << _SPLIT_BITS) + exact_sum(lo)
+    a64 = np.asarray(a, dtype=np.int64)
+    return _sum_int64(a64, _bits(a64))
 
 
 def exact_cumsum(a: np.ndarray) -> np.ndarray:
@@ -109,12 +107,9 @@ def exact_cumsum(a: np.ndarray) -> np.ndarray:
     Returns an int64 array when every partial sum provably fits, otherwise
     an object-dtype array of Python ints.
     """
-    if a.size == 0:
-        return np.zeros(0, dtype=np.int64)
     if a.dtype != object:
-        a64 = np.ascontiguousarray(a, dtype=np.int64)
-        ma = _max_abs(a64)
-        if ma == 0 or ma.bit_length() + a64.size.bit_length() <= _SAFE_PRODUCT_BITS:
+        a64 = np.asarray(a, dtype=np.int64)
+        if _bits(a64) + a64.size.bit_length() <= _SAFE_PRODUCT_BITS:
             return np.cumsum(a64)
         a = a64.astype(object)
     return np.cumsum(a)
@@ -129,8 +124,6 @@ def compensated_dot(a: np.ndarray, b: np.ndarray) -> float:
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
     af = np.ascontiguousarray(a, dtype=np.float64)
     bf = np.ascontiguousarray(b, dtype=np.float64)
     partials = [
@@ -142,8 +135,6 @@ def compensated_dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def compensated_sum(a: np.ndarray) -> float:
     """Correctly rounded sum of a float array (``math.fsum`` semantics)."""
-    if a.size == 0:
-        return 0.0
     af = np.ascontiguousarray(a, dtype=np.float64)
     return math.fsum(af.tolist())
 
@@ -152,14 +143,19 @@ def compensated_cumsum(a: np.ndarray) -> np.ndarray:
     """Running sums of a float array with per-block compensation.
 
     Within each block a plain ``np.cumsum`` runs; the offset carried into
-    each block is the fsum of all previous block totals, keeping the
-    relative error of every prefix far below ordinary cumsum drift.
+    each block is the correctly rounded sum of all previous block totals
+    (``math.fsum`` of them), keeping the relative error of every prefix far
+    below ordinary cumsum drift.
     """
     af = np.ascontiguousarray(a, dtype=np.float64)
     out = np.empty_like(af)
-    carried: list[float] = []
+    # Every finite double is a whole number of 2**-1074 units (the smallest
+    # subnormal), so the earlier block totals add up exactly as an int, and
+    # int / int rounds correctly.
+    units, carried = 1 << 1074, 0
     for s in range(0, af.size, _FLOAT_BLOCK):
         block = af[s : s + _FLOAT_BLOCK]
-        out[s : s + block.size] = np.cumsum(block) + math.fsum(carried)
-        carried.append(float(block.sum()))
+        out[s : s + block.size] = np.cumsum(block) + carried / units
+        num, den = float(block.sum()).as_integer_ratio()
+        carried += num * (units // den)
     return out

@@ -1,8 +1,8 @@
 """Sieve kernels producing dense arithmetic-function value arrays.
 
 All kernels share the same indexing convention: position ``i`` of the output
-array holds the value at the integer ``n = i + 1``.  Every kind except Λ is a
-rule on the exponents in n = ∏ p^e and comes from one factor pass, the
+array holds the value at the integer ``n = i + 1``.  Every kind except Λ and
+μ² is a rule on the exponents in n = ∏ p^e and comes from one factor pass, the
 multiplicative-function sieve of Crandall & Pomerance, *Prime Numbers: A
 Computational Perspective*, ch. 3.
 """
@@ -70,8 +70,11 @@ def euler_phi(span: int) -> np.ndarray:
 
 
 def mu_squared(span: int) -> np.ndarray:
-    """Squarefree indicator: one exactly when every exponent is below 2."""
-    return _factor_pass(span, lambda p, e: int(e < 2))
+    """Squarefree indicator: zero on the multiples of every square p²."""
+    out = np.ones(span, dtype=np.int64)
+    for p in primes_upto(math.isqrt(span)).tolist():
+        out[p * p - 1 :: p * p] = 0
+    return out
 
 
 def big_omega(span: int) -> np.ndarray:

@@ -47,6 +47,30 @@ class DensityEstimate:
     d_ratio: Fraction | float | None = None
 
 
+def _ratio(table: FunctionTable, num, den) -> Fraction | float:
+    """num / den: an exact Fraction for exact payloads, else a float."""
+    if table.is_exact:
+        return Fraction(num, den)
+    return num / den
+
+
+def _require_positive(table: FunctionTable, x: int, l: int, t1) -> None:
+    if t1 <= 0:
+        raise ZeroCorrelation(
+            f"{table.kind.label}: correlation at x={x}, shift={l} is {t1}; "
+            "the positivity hypothesis fails"
+        )
+
+
+def _nonzero_bilinear(table: FunctionTable, x: int):
+    b = bilinear_rhs(table, x)
+    if b == 0:
+        raise DegenerateSum(
+            f"{table.kind.label}: bilinear form vanishes at x={x}"
+        )
+    return b
+
+
 def c_min(table: FunctionTable, x: int, l: int) -> Fraction | float:
     """Smallest admissible C at this x: bilinear(x) / (x · type1(x, l)).
 
@@ -55,15 +79,8 @@ def c_min(table: FunctionTable, x: int, l: int) -> Fraction | float:
     correlation, which is the bound's own hypothesis.
     """
     t1 = type1(table, x, l).value
-    if t1 <= 0:
-        raise ZeroCorrelation(
-            f"{table.kind.label}: correlation at x={x}, shift={l} is {t1}; "
-            "the positivity hypothesis fails"
-        )
-    b = bilinear_rhs(table, x)
-    if table.is_exact:
-        return Fraction(b, x * t1)
-    return b / (x * t1)
+    _require_positive(table, x, l, t1)
+    return _ratio(table, bilinear_rhs(table, x), x * t1)
 
 
 def c_max(table: FunctionTable, x: int, l: int) -> Fraction | float:
@@ -83,15 +100,8 @@ def local_density(table: FunctionTable, x: int, l: int) -> Fraction | float:
     Satisfies c_min · local_density · x = 1 exactly wherever both sides are
     defined.
     """
-    b = bilinear_rhs(table, x)
-    if b == 0:
-        raise DegenerateSum(
-            f"{table.kind.label}: bilinear form vanishes at x={x}"
-        )
-    t1 = type1(table, x, l).value
-    if table.is_exact:
-        return Fraction(t1, b)
-    return t1 / b
+    b = _nonzero_bilinear(table, x)
+    return _ratio(table, type1(table, x, l).value, b)
 
 
 def d_of_x(table: FunctionTable, x: int) -> Fraction | float:
@@ -100,31 +110,29 @@ def d_of_x(table: FunctionTable, x: int) -> Fraction | float:
     Complements the off-diagonal split exactly: d_of_x/x plus the
     off-diagonal ratio equals 1.
     """
-    b = bilinear_rhs(table, x)
-    if b == 0:
-        raise DegenerateSum(
-            f"{table.kind.label}: bilinear form vanishes at x={x}"
-        )
-    t2 = type2(table, x).value
-    if table.is_exact:
-        return Fraction(x * t2, b)
-    return x * t2 / b
+    b = _nonzero_bilinear(table, x)
+    return _ratio(table, x * type2(table, x).value, b)
 
 
 def density_estimate(table: FunctionTable, x: int, l: int) -> DensityEstimate:
-    """Bundle c_min, c_max, local_density, and (for x >= 2) d_ratio."""
-    c = c_min(table, x, l)
-    dens = local_density(table, x, l)
+    """Bundle c_min, c_max, local_density, and (for x >= 2) d_ratio.
+
+    Each of type1, bilinear and type2 is computed once and shared.
+    """
+    t1 = type1(table, x, l).value
+    _require_positive(table, x, l, t1)
+    b = _nonzero_bilinear(table, x)
+    c = _ratio(table, b, x * t1)
     d_ratio = None
     if x >= 2:
-        d_ratio = d_of_x(table, x) / x
+        d_ratio = _ratio(table, x * type2(table, x).value, b) / x
     return DensityEstimate(
         kind=table.kind,
         x=x,
         shift=l,
         c_min=c,
         c_max=c,
-        local_density=dens,
+        local_density=_ratio(table, t1, b),
         d_ratio=d_ratio,
     )
 
@@ -395,14 +403,14 @@ def evaluate_claim(
                     bound.append(float("nan"))
                     verdicts.append("vacuous")
                     continue
-                const = float(c_min(table, x, shift))
+                const = float(_ratio(table, bilinear_rhs(table, x), x * value))
             else:
                 if value <= 0:
                     constant.append(None)
                     bound.append(float("nan"))
                     verdicts.append("vacuous")
                     continue
-                const = float(d_of_x(table, x))
+                const = float(_ratio(table, x * value, _nonzero_bilinear(table, x)))
             constant.append(const)
         else:
             const = float("nan")

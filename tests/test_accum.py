@@ -53,6 +53,38 @@ class TestExactDot:
         b = np.array([rng.randrange(-(2**30), 2**30) for _ in range(5000)], dtype=np.int64)
         assert exact_dot(a, b) == _python_dot(a, b)
 
+    def test_operands_at_the_int64_limits(self):
+        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        edges = [lo, lo + 1, hi, hi - 1, -(2**62), 2**62, 2**62 - 1, 1 - 2**62, 0, 1, -1]
+        a = np.array(edges * 3, dtype=np.int64)
+        b = np.array(edges[::-1] * 3, dtype=np.int64)
+        assert exact_dot(a, b) == _python_dot(a, b)
+        assert exact_dot(a, a) == _python_dot(a, a)
+        for v in edges:
+            col = np.full(7, v, dtype=np.int64)
+            assert exact_dot(col, col) == 7 * int(v) ** 2
+            assert exact_sum(col) == 7 * int(v)
+
+    def test_blocked_rows_and_tail(self):
+        # 30-bit by 30-bit products take the blocked reduction with rows of
+        # 2**(62 - 60) = 4 terms: 31 terms are seven full rows and a tail of
+        # three.  Products near 2**60 overflow any row of 16 terms.
+        top = 2**30 - 1
+        for sign in (1, -1):
+            a = np.full(31, sign * top, dtype=np.int64)
+            b = np.full(31, top, dtype=np.int64)
+            b[::5] = 2**29
+            assert exact_dot(a, b) == _python_dot(a, b)
+
+    def test_reversed_view(self):
+        # type2 passes a negative-stride view as its second operand; 31-bit
+        # values put the products on the blocked reduction.
+        rng = random.Random(17)
+        vals = np.array([rng.randrange(2**30, 2**31) for _ in range(301)], dtype=np.int64)
+        a, b = vals[:150], vals[151:][::-1]
+        assert exact_dot(a, b) == _python_dot(a, b)
+        assert exact_sum(b) == sum(int(v) for v in b)
+
     def test_chunked_path(self):
         n = (1 << 21) + 17
         a = np.ones(n, dtype=np.int64)
@@ -62,8 +94,8 @@ class TestExactDot:
     @given(
         st.lists(
             st.tuples(
-                st.integers(min_value=-(2**35), max_value=2**35),
-                st.integers(min_value=-(2**35), max_value=2**35),
+                st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                st.integers(min_value=-(2**63), max_value=2**63 - 1),
             ),
             max_size=200,
         )
@@ -124,6 +156,20 @@ class TestCompensated:
         assert out[-1] == pytest.approx(math.fsum(vals), rel=1e-12)
         # Each entry is a prefix sum of the input.
         assert out[42] == pytest.approx(math.fsum(vals[:43]), rel=1e-12)
+
+    def test_cumsum_block_offsets_equal_fsum_of_earlier_blocks(self):
+        # 60 blocks of 4096 terms over a wide magnitude range: every block's
+        # offset must be math.fsum of the earlier block totals, bit for bit.
+        rng = np.random.default_rng(19)
+        block = 4096
+        vals = rng.standard_normal(60 * block) * 10.0 ** rng.integers(-300, 300, 60 * block)
+        out = compensated_cumsum(vals)
+        totals = []
+        for s in range(0, vals.size, block):
+            chunk = vals[s : s + block]
+            want = np.cumsum(chunk) + math.fsum(totals)
+            assert out[s : s + block].tobytes() == want.tobytes()
+            totals.append(float(chunk.sum()))
 
     def test_empty(self):
         z = np.array([], dtype=float)

@@ -96,8 +96,21 @@ class TestDensityEstimate:
         assert est.c_min == c_min(t, 80, 1)
         assert est.c_max == c_max(t, 80, 1)
         assert est.local_density == local_density(t, 80, 1)
+        assert est.d_ratio == d_of_x(t, 80) / 80
         assert est.kind == t.kind
         assert (est.x, est.shift) == (80, 1)
+
+    def test_float_bundle_equals_components_bit_for_bit(self):
+        t = build_table(VON_MANGOLDT, 1000, 2)
+        est = density_estimate(t, 1000, 2)
+        assert est.c_min == est.c_max == c_min(t, 1000, 2)
+        assert est.local_density == local_density(t, 1000, 2)
+        assert est.d_ratio == d_of_x(t, 1000) / 1000
+
+    def test_zero_correlation_raises(self):
+        t = FunctionTable.from_values("point", [1, 0, 0, 0, 0])
+        with pytest.raises(ZeroCorrelation):
+            density_estimate(t, 4, 1)
 
 
 class TestEvaluateClaim:
@@ -194,3 +207,17 @@ class TestMeasuredConstantConsistency:
         assert rep.constant[1] == pytest.approx(float(c), rel=1e-12)
         assert rep.bound[1] == pytest.approx(x / (2 * float(c)), rel=1e-12)
         assert rep.computed[1] == pytest.approx(type1(t, x, l).value, rel=1e-12)
+
+    def test_constants_equal_the_public_functions(self):
+        # evaluate_claim reuses its computed sum for the constant; the result
+        # must be exactly what c_min and d_of_x return.
+        grid = [100, 1000]
+        twin = evaluate_claim("thm3.1-twin", grid, ClaimSettings(shift=2))
+        musq = evaluate_claim("cor6.4-musq", grid)
+        goldbach = evaluate_claim("thm8.1-goldbach", grid)
+        lam = build_table(VON_MANGOLDT, 1000, 2)
+        mu = build_table(MU_SQUARED, 1000, 1)
+        for i, x in enumerate(grid):
+            assert twin.constant[i] == float(c_min(lam, x, 2))
+            assert musq.constant[i] == float(c_min(mu, x, 1))
+            assert goldbach.constant[i] == float(d_of_x(lam, x))

@@ -15,7 +15,6 @@ from .constants import (
     ClaimReport,
     ClaimSettings,
     DensityEstimate,
-    c_max,
     c_min,
     d_of_x,
     density_estimate,
@@ -58,7 +57,6 @@ from .minoverlap import (
     difference_histogram,
     exact_Mn,
     heuristic_Mn,
-    indicator_correlation,
 )
 from .report import ReportBundle, ResultTable
 from .tables import (
@@ -117,7 +115,6 @@ __all__ = [
     "bilinear_rhs",
     "bounds_table",
     "build_table",
-    "c_max",
     "c_min",
     "d_of_x",
     "density_estimate",
@@ -130,7 +127,6 @@ __all__ = [
     "general_area_identity",
     "heuristic_Mn",
     "identity_check",
-    "indicator_correlation",
     "local_density",
     "mean_value_reference",
     "pair_sum_closed_form",

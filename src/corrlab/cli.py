@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error (unknown subcommand, flag, or value
-shape), 2 computation error (range/budget/degenerate/etc.).  Every failure
-prints exactly one machine-parsable line to stderr of the form
-``error: code=<CODE> <message>``.
+Exit codes: 0 success, 1 usage error (unknown subcommand or flag, or a
+value of the wrong shape or out of range), 2 computation error
+(range/budget/degenerate/etc.).  Every failure prints exactly one
+machine-parsable line to stderr of the form ``error: code=<CODE> <message>``.
 """
 
 from __future__ import annotations
@@ -197,13 +197,10 @@ def _cmd_correlate(args) -> int:
     kind = _parse_kind(args.kind)
     if not args.type2 and not args.shift:
         raise _UsageError("pass --shift L[,L2,...] or --type2")
-    results = []
-    if args.type2:
-        table = build_table(kind, args.x)
-        results.append(type2(table, args.x))
-    if args.shift:
-        shifts = _parse_int_list(args.shift)
-        table = build_table(kind, args.x, max(shifts, default=0))
+    shifts = _parse_int_list(args.shift) if args.shift else ()
+    table = build_table(kind, args.x, max(shifts, default=0))
+    results = [type2(table, args.x)] if args.type2 else []
+    if shifts:
         results.extend(type1_sweep(table, args.x, list(shifts), _threads(args)))
     for r in results:
         line = (
@@ -439,7 +436,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: code=USAGE {exc}", file=sys.stderr)
         return 1
     except CorrlabError as exc:

@@ -11,10 +11,10 @@ x, so this module measures them pointwise:
 * ``local_density``— the single-shift share of the full bilinear form.
 * ``d_of_x``       — the type-2 share, scaled to [0, x].
 
-``evaluate_claim`` then scores each catalogued bound over an x-grid and
-reports per-point verdicts: ``consistent``, ``violated``, or ``vacuous``
-when the statement's own positivity hypothesis fails.  A verdict is a
-desk-scale observation, never a proof.
+``evaluate_claims`` then scores catalogued bounds over an x-grid, from one
+table per function kind, and reports per-point verdicts: ``consistent``,
+``violated``, or ``vacuous`` when the statement's own positivity hypothesis
+fails.  A verdict is a desk-scale observation, never a proof.
 """
 
 from __future__ import annotations
@@ -81,17 +81,6 @@ def c_min(table: FunctionTable, x: int, l: int) -> Fraction | float:
     t1 = type1(table, x, l).value
     _require_positive(table, x, l, t1)
     return _ratio(table, bilinear_rhs(table, x), x * t1)
-
-
-def c_max(table: FunctionTable, x: int, l: int) -> Fraction | float:
-    """Largest admissible C for the inverted (upper-bound) reading:
-    type1 < bilinear / (C·x) for every C below this value.
-
-    Numerically identical to :func:`c_min`; the two names exist because the
-    lower- and upper-bound statements pin the constant from opposite sides,
-    and reports keep separate columns for the two interpretations.
-    """
-    return c_min(table, x, l)
 
 
 def local_density(table: FunctionTable, x: int, l: int) -> Fraction | float:
@@ -363,22 +352,21 @@ def evaluate_claim(
     holds within ``settings.slack``, ``violated`` when it fails, and
     ``vacuous`` when the claim's own hypothesis fails at that x.
     """
-    spec = _CLAIMS.get(claim_id)
-    if spec is None:
-        known = ", ".join(ALL_CLAIMS)
-        raise UnknownClaim(f"unknown claim {claim_id!r}; known claims: {known}")
-    grid = tuple(int(x) for x in grid)
-    if not grid:
-        raise ValueError("x-grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"x-grid must be strictly increasing, got {grid}")
-    if grid[0] < 3:
-        raise ValueError("x-grid entries must be >= 3")
+    return evaluate_claims([claim_id], grid, settings)[0]
 
-    kind = spec.kind_fn(settings)
-    shift = spec.shift_fn(settings) if spec.correlation == "type1" else 0
-    table = build_table(kind, max(grid), shift_headroom=shift)
 
+def _shift(spec: _ClaimSpec, settings: ClaimSettings) -> int:
+    return spec.shift_fn(settings) if spec.correlation == "type1" else 0
+
+
+def _score(
+    spec: _ClaimSpec,
+    table: FunctionTable,
+    grid: tuple[int, ...],
+    settings: ClaimSettings,
+) -> ClaimReport:
+    """Score one claim over the grid from a table of its kind."""
+    shift = _shift(spec, settings)
     computed: list[float] = []
     bound: list[float] = []
     constant: list[float | None] = []
@@ -390,31 +378,19 @@ def evaluate_claim(
             value = type2(table, x).value
         computed.append(float(value))
 
-        if spec.even_x_only and x % 2 != 0:
+        if (spec.even_x_only and x % 2 != 0) or (spec.uses_constant and value <= 0):
             constant.append(None)
             bound.append(float("nan"))
             verdicts.append("vacuous")
             continue
 
-        if spec.uses_constant:
-            if spec.correlation == "type1":
-                if value <= 0:
-                    constant.append(None)
-                    bound.append(float("nan"))
-                    verdicts.append("vacuous")
-                    continue
-                const = float(_ratio(table, bilinear_rhs(table, x), x * value))
-            else:
-                if value <= 0:
-                    constant.append(None)
-                    bound.append(float("nan"))
-                    verdicts.append("vacuous")
-                    continue
-                const = float(_ratio(table, x * value, _nonzero_bilinear(table, x)))
-            constant.append(const)
-        else:
+        if not spec.uses_constant:
             const = float("nan")
-            constant.append(None)
+        elif spec.correlation == "type1":
+            const = float(_ratio(table, bilinear_rhs(table, x), x * value))
+        else:
+            const = float(_ratio(table, x * value, _nonzero_bilinear(table, x)))
+        constant.append(const if spec.uses_constant else None)
 
         b = spec.bound_fn(float(x), const, settings)
         bound.append(b)
@@ -425,7 +401,7 @@ def evaluate_claim(
         verdicts.append("consistent" if ok else "violated")
 
     return ClaimReport(
-        claim=claim_id,
+        claim=spec.claim_id,
         grid=grid,
         computed=tuple(computed),
         bound=tuple(bound),
@@ -443,17 +419,47 @@ def evaluate_claims(
 ) -> list[ClaimReport]:
     """Evaluate several claims; order follows the input list.
 
-    Claims are independent, so with ``threads`` > 1 they run concurrently;
-    outputs are identical to the serial run.
+    Claims are grouped by function kind, and each kind's table is sieved
+    once, at max(grid) with the largest shift its claims read, then shared
+    by all of them.  A value at n does not depend on the table's span, so
+    every report equals :func:`evaluate_claim` of that id alone.  With
+    ``threads`` > 1 the kinds run concurrently; outputs are identical to the
+    serial run.
     """
-    ids = list(claim_ids)
-    for cid in ids:
-        if cid not in _CLAIMS:
+    specs = []
+    for cid in claim_ids:
+        spec = _CLAIMS.get(cid)
+        if spec is None:
             known = ", ".join(ALL_CLAIMS)
             raise UnknownClaim(f"unknown claim {cid!r}; known claims: {known}")
-    if threads > 1 and len(ids) > 1:
+        specs.append(spec)
+    grid = tuple(int(x) for x in grid)
+    if not grid:
+        raise ValueError("x-grid must be non-empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"x-grid must be strictly increasing, got {grid}")
+    if grid[0] < 3:
+        raise ValueError("x-grid entries must be >= 3")
+
+    by_kind: dict[FunctionKind, list[int]] = {}
+    for i, spec in enumerate(specs):
+        by_kind.setdefault(spec.kind_fn(settings), []).append(i)
+
+    def run_kind(kind: FunctionKind) -> list[ClaimReport]:
+        members = [specs[i] for i in by_kind[kind]]
+        headroom = max(_shift(spec, settings) for spec in members)
+        table = build_table(kind, max(grid), shift_headroom=headroom)
+        return [_score(spec, table, grid, settings) for spec in members]
+
+    if threads > 1 and len(by_kind) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda c: evaluate_claim(c, grid, settings), ids))
-    return [evaluate_claim(c, grid, settings) for c in ids]
+            scored = list(pool.map(run_kind, by_kind))
+    else:
+        scored = [run_kind(kind) for kind in by_kind]
+
+    reports: dict[int, ClaimReport] = {}
+    for indices, kind_reports in zip(by_kind.values(), scored):
+        reports.update(zip(indices, kind_reports))
+    return [reports[i] for i in range(len(specs))]

@@ -59,7 +59,7 @@ def type1(table: FunctionTable, x: int, l: int) -> CorrelationResult:
         )
     a = table.values[:x]
     b = table.values[l : l + x]
-    terms = int(np.count_nonzero((a != 0) & (b != 0)))
+    terms = int(np.count_nonzero(np.logical_and(a, b)))
     value = exact_dot(a, b) if table.is_exact else compensated_dot(a, b)
     return CorrelationResult(table.kind, x, l, value, terms)
 
@@ -80,7 +80,7 @@ def type2(table: FunctionTable, x: int) -> CorrelationResult:
     half = (x - 1) // 2  # last n strictly below x/2
     a = table.values[:half]
     b = table.values[x - half - 1 : x - 1][::-1]  # f(x-n) for n = 1..half
-    terms = int(np.count_nonzero((a != 0) & (b != 0)))
+    terms = int(np.count_nonzero(np.logical_and(a, b)))
     value = exact_dot(a, b) if table.is_exact else compensated_dot(a, b)
     middle = None
     if x % 2 == 0:

@@ -151,20 +151,6 @@ def difference_histogram(s: Splitting) -> DifferenceHistogram:
     return DifferenceHistogram(n=s.n, counts=counts.astype(np.int64))
 
 
-def indicator_correlation(s: Splitting, k: int) -> int:
-    """Literal count of c in 1..n with both c and c+k inside 1..n.
-
-    The union indicator of a splitting is identically 1 on {1..n}, so this
-    shifted sum depends only on n and k and deliberately carries no
-    information about the halves themselves; the meaningful per-splitting
-    quantity is M_k.  It exists so the indicator bookkeeping around the
-    histogram has a well-defined, testable meaning.
-    """
-    lo = max(1, 1 - k)
-    hi = min(s.n, s.n - k)
-    return max(0, hi - lo + 1)
-
-
 def _reverse_mask(mask: int, n: int) -> int:
     out = 0
     for _ in range(n):

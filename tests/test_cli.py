@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from corrlab import cli
 from corrlab.cli import main
 from corrlab.report import read_csv
+from corrlab.tables import build_table
 
 
 def run(capsys, *argv):
@@ -45,6 +47,22 @@ class TestExitCodes:
     def test_version(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["correlate", "--kind", "musquared", "--x", "100", "--shift", "0"],
+            ["correlate", "--kind", "musquared", "--x", "100", "--shift=-1"],
+            ["constants", "--kind", "musquared", "--x", "100", "--shift", "0"],
+            ["sieve", "--kind", "musquared", "--limit", "0"],
+            ["minoverlap", "--n", "7"],
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: code=USAGE")
+        assert err.count("\n") == 1
 
 
 class TestSieve:
@@ -112,6 +130,26 @@ class TestCorrelate:
         )
         assert code == 0
         assert "value=10" in out
+
+    def test_type2_and_shifts_share_one_table(self, capsys, monkeypatch):
+        calls = []
+
+        def recording(kind, limit, shift_headroom=0, **kwargs):
+            calls.append((limit, shift_headroom))
+            return build_table(kind, limit, shift_headroom, **kwargs)
+
+        monkeypatch.setattr(cli, "build_table", recording)
+        code, out, _ = run(
+            capsys, "correlate", "--kind", "one", "--x", "10", "--shift", "1,3",
+            "--type2",
+        )
+        assert code == 0
+        assert calls == [(10, 3)]
+        assert out.splitlines() == [
+            "kind=one x=10 shift=type2 value=4 terms=4 middle_term=1",
+            "kind=one x=10 shift=1 value=10 terms=10",
+            "kind=one x=10 shift=3 value=10 terms=10",
+        ]
 
 
 class TestConstants:

@@ -10,15 +10,16 @@ import pytest
 from corrlab import (
     ALL_CLAIMS,
     CONSTANT_ONE,
+    LIOUVILLE,
     MU_SQUARED,
     VON_MANGOLDT,
     ClaimSettings,
+    FunctionKind,
     FunctionTable,
     UnknownClaim,
     ZeroCorrelation,
     bilinear_rhs,
     build_table,
-    c_max,
     c_min,
     d_of_x,
     density_estimate,
@@ -28,6 +29,8 @@ from corrlab import (
     local_density,
     type1,
 )
+from corrlab import constants
+from corrlab.report import CLAIM_HEADER, render_csv
 
 
 class TestCMin:
@@ -43,12 +46,6 @@ class TestCMin:
         t = FunctionTable.from_values("point", [1, 0, 0, 0, 0])
         with pytest.raises(ZeroCorrelation):
             c_min(t, 4, 1)
-
-    def test_c_max_equals_c_min_numerically(self):
-        # Both read the same bilinear/type1 quotient; they differ in which
-        # inequality direction they certify, not in the number.
-        t = build_table(MU_SQUARED, 200, 2)
-        assert c_max(t, 150, 2) == c_min(t, 150, 2)
 
 
 class TestLocalDensity:
@@ -94,7 +91,7 @@ class TestDensityEstimate:
         t = build_table(MU_SQUARED, 100, 1)
         est = density_estimate(t, 80, 1)
         assert est.c_min == c_min(t, 80, 1)
-        assert est.c_max == c_max(t, 80, 1)
+        assert est.c_max == c_min(t, 80, 1)
         assert est.local_density == local_density(t, 80, 1)
         assert est.d_ratio == d_of_x(t, 80) / 80
         assert est.kind == t.kind
@@ -194,6 +191,54 @@ class TestEvaluateClaims:
         for a, b in zip(serial, threaded):
             assert a.computed == b.computed
             assert a.verdicts == b.verdicts
+
+
+class TestRunPlan:
+    @staticmethod
+    def _record_builds(monkeypatch):
+        calls = []
+
+        def recording(kind, limit, shift_headroom=0, **kwargs):
+            calls.append((kind.label, limit, shift_headroom))
+            return build_table(kind, limit, shift_headroom, **kwargs)
+
+        monkeypatch.setattr(constants, "build_table", recording)
+        return calls
+
+    def test_one_table_per_kind(self, monkeypatch):
+        calls = self._record_builds(monkeypatch)
+        evaluate_claims(ALL_CLAIMS, (100, 999, 3000))
+        assert len(calls) == 7
+        assert len({label for label, _, _ in calls}) == 7
+        assert all(limit == 3000 for _, limit, _ in calls)
+        headroom = {label: h for label, _, h in calls}
+        assert headroom.pop(VON_MANGOLDT.label) == 2
+        assert set(headroom.values()) == {1}
+
+    def test_headroom_is_the_largest_shift_of_the_kind(self, monkeypatch):
+        calls = self._record_builds(monkeypatch)
+        settings = ClaimSettings(shift=3, divisor_order=2)
+        evaluate_claims(ALL_CLAIMS, (100, 999, 3000), settings)
+        assert len(calls) == 6
+        headroom = {label: h for label, _, h in calls}
+        assert headroom[FunctionKind.divisor(2).label] == 3
+        assert headroom[VON_MANGOLDT.label] == 2
+        assert headroom[LIOUVILLE.label] == 1
+
+    def test_shared_tables_match_single_claims(self):
+        # The single-claim call sieves a table with a different span, so
+        # equal text means the span does not change any value.  Rows are
+        # compared as rendered CSV because vacuous rows hold NaN.
+        settings = ClaimSettings(shift=3, divisor_order=2)
+        grid = (100, 999, 3000)
+        ids = list(ALL_CLAIMS) + ["thm8.1-goldbach"]
+        reports = evaluate_claims(ids, grid, settings, threads=2)
+        assert [r.claim for r in reports] == ids
+        for cid, rep in zip(ids, reports):
+            alone = evaluate_claim(cid, grid, settings)
+            assert render_csv(CLAIM_HEADER, rep.rows()) == render_csv(
+                CLAIM_HEADER, alone.rows()
+            )
 
 
 class TestMeasuredConstantConsistency:

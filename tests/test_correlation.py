@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from corrlab import (
@@ -115,6 +116,25 @@ class TestType2:
             type2(t, 1)
         with pytest.raises(RangeError):
             type2(t, 11)
+
+
+class TestTermCounts:
+    def test_signed_zeros_and_negatives(self):
+        # Only exact zeros drop a term: -0.0 == 0 counts as zero, negative
+        # values count as nonzero, on the shifted and the reversed view.
+        vals = [1.5, -2.0, 0.0, -0.0, 3.0, -1.0, 0.0, 2.5, -0.0, -4.0, 1.0, 0.0]
+        t = FunctionTable.from_values("signed", vals, shift_headroom=3)
+        arr = np.asarray(vals)
+        for x in range(1, 10):
+            for l in (1, 2, 3):
+                a, b = arr[:x], arr[l : l + x]
+                want = int(np.count_nonzero((a != 0) & (b != 0)))
+                assert type1(t, x, l).terms == want
+        for x in range(2, 10):
+            half = (x - 1) // 2
+            a, b = arr[:half], arr[x - half - 1 : x - 1][::-1]
+            want = int(np.count_nonzero((a != 0) & (b != 0)))
+            assert type2(t, x).terms == want
 
 
 class TestSweep:

@@ -21,7 +21,6 @@ from corrlab import (
     difference_histogram,
     exact_Mn,
     heuristic_Mn,
-    indicator_correlation,
 )
 
 
@@ -121,15 +120,6 @@ class TestDifferenceHistogram:
         h = difference_histogram(Splitting.from_a(4, (1, 2)))
         assert h.count(99) == 0
         assert h.count(-99) == 0
-
-
-class TestIndicatorCorrelation:
-    def test_matches_shifted_interval_overlap(self):
-        # For the full interval {1..n} against itself shifted by k, the
-        # count is n - |k| clipped at zero, independent of the splitting.
-        s = Splitting.from_a(10, (1, 2, 3, 4, 5))
-        for k in range(-12, 13):
-            assert indicator_correlation(s, k) == max(0, 10 - abs(k))
 
 
 # -- exhaustive search --------------------------------------------------------

@@ -133,12 +133,6 @@ def compensated_dot(a: np.ndarray, b: np.ndarray) -> float:
     return math.fsum(partials)
 
 
-def compensated_sum(a: np.ndarray) -> float:
-    """Correctly rounded sum of a float array (``math.fsum`` semantics)."""
-    af = np.ascontiguousarray(a, dtype=np.float64)
-    return math.fsum(af.tolist())
-
-
 def compensated_cumsum(a: np.ndarray) -> np.ndarray:
     """Running sums of a float array with per-block compensation.
 

@@ -90,9 +90,13 @@ def liouville(span: int) -> np.ndarray:
 def von_mangoldt(span: int) -> np.ndarray:
     """log p at prime powers p^k, zero elsewhere."""
     lam = np.zeros(span, dtype=np.float64)
-    for p in primes_upto(span).tolist():
-        logp = math.log(p)
-        q = p
+    primes = primes_upto(span)
+    # math.log, not np.log: the two differ in the last ulp on some primes.
+    logs = np.fromiter(map(math.log, primes.tolist()), np.float64, primes.size)
+    lam[primes - 1] = logs
+    small = primes <= math.isqrt(span)
+    for p, logp in zip(primes[small].tolist(), logs[small].tolist()):
+        q = p * p
         while q <= span:
             lam[q - 1] = logp
             q *= p

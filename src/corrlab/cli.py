@@ -37,29 +37,18 @@ from .report import (
 from .tables import FunctionKind, PayloadMode, build_table, prefix_sums
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage failures map to exit code 1."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(",") if p != "")
     except ValueError:
-        raise _UsageError(f"expected comma-separated integers, got {text!r}")
-
-
-def _parse_kind(text: str) -> FunctionKind:
-    try:
-        return FunctionKind.parse(text)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+        raise ValueError(f"expected comma-separated integers, got {text!r}")
 
 
 def _payload_mode(text: str) -> PayloadMode | None:
@@ -160,7 +149,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_sieve(args) -> int:
-    kind = _parse_kind(args.kind)
+    kind = FunctionKind.parse(args.kind)
     table = build_table(
         kind, args.limit, args.headroom, mode=_payload_mode(args.mode)
     )
@@ -177,11 +166,11 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_identity_check(args) -> int:
-    kind = _parse_kind(args.kind)
+    kind = FunctionKind.parse(args.kind)
     table = build_table(kind, args.x)
     res = identity_check(table, args.x, args.tolerance, args.oracle_cap)
     if args.exact and res.mode is not PayloadMode.EXACT:
-        raise _UsageError(f"{kind.label} has no exact payload; drop --exact")
+        raise ValueError(f"{kind.label} has no exact payload; drop --exact")
     if res.equal:
         print(f"lhs=rhs value={_num(res.lhs)} mode={res.mode.value}")
         return 0
@@ -194,9 +183,9 @@ def _cmd_identity_check(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    kind = _parse_kind(args.kind)
+    kind = FunctionKind.parse(args.kind)
     if not args.type2 and not args.shift:
-        raise _UsageError("pass --shift L[,L2,...] or --type2")
+        raise ValueError("pass --shift L[,L2,...] or --type2")
     shifts = _parse_int_list(args.shift) if args.shift else ()
     table = build_table(kind, args.x, max(shifts, default=0))
     results = [type2(table, args.x)] if args.type2 else []
@@ -220,7 +209,7 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    kind = _parse_kind(args.kind)
+    kind = FunctionKind.parse(args.kind)
     table = build_table(kind, args.x, args.shift)
     est = consts.density_estimate(table, args.x, args.shift)
     ratio = diagonal_ratio(table, args.x)
@@ -316,7 +305,7 @@ def _cmd_claims(args) -> int:
     try:
         cfg = cfg.validate()
     except ConfigError as exc:
-        raise _UsageError(str(exc))
+        raise ValueError(str(exc))
     settings = consts.ClaimSettings(
         shift=args.shift,
         divisor_order=args.divisor_order,
@@ -373,7 +362,7 @@ def _cmd_report(args) -> int:
         try:
             cfg = ExperimentConfig.from_text(Path(args.config).read_text())
         except FileNotFoundError:
-            raise _UsageError(f"config file not found: {args.config}")
+            raise ValueError(f"config file not found: {args.config}")
     else:
         cfg = ExperimentConfig()
     try:
@@ -383,14 +372,14 @@ def _cmd_report(args) -> int:
             x_grid=_parse_int_list(args.grid) if args.grid else None,
         )
     except ConfigError as exc:
-        raise _UsageError(str(exc))
+        raise ValueError(str(exc))
     threads = _threads(argparse.Namespace(threads=cfg.threads))
 
     # Correlation sweep over the configured kinds, shifts, and grid.
     corr_rows = []
     max_x = max(cfg.x_grid)
     for kind_label in cfg.kinds:
-        kind = _parse_kind(kind_label)
+        kind = FunctionKind.parse(kind_label)
         table = build_table(
             kind,
             max_x,
@@ -425,7 +414,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
+    except ValueError as exc:
         print(f"error: code=USAGE {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help / --version
@@ -436,7 +425,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: code=USAGE {exc}", file=sys.stderr)
         return 1
     except CorrlabError as exc:

@@ -27,7 +27,16 @@ from typing import Callable, Sequence
 from .correlation import type1, type2
 from .errors import DegenerateSum, UnknownClaim, ZeroCorrelation
 from .identity import bilinear_rhs
-from .tables import FunctionKind, FunctionTable, build_table
+from .tables import (
+    EULER_PHI,
+    LIOUVILLE,
+    MASTER_UPSILON,
+    MU_SQUARED,
+    VON_MANGOLDT,
+    FunctionKind,
+    FunctionTable,
+    build_table,
+)
 
 
 @dataclass(frozen=True)
@@ -212,7 +221,7 @@ def _register(spec: _ClaimSpec) -> None:
 _register(
     _ClaimSpec(
         claim_id="thm3.1-twin",
-        kind_fn=lambda s: FunctionKind.von_mangoldt(),
+        kind_fn=lambda s: VON_MANGOLDT,
         correlation="type1",
         shift_fn=lambda s: 2,
         bound_fn=lambda x, C, s: x / (2.0 * C),
@@ -246,7 +255,7 @@ _register(
 _register(
     _ClaimSpec(
         claim_id="cor6.3-phi",
-        kind_fn=lambda s: FunctionKind.euler_phi(),
+        kind_fn=lambda s: EULER_PHI,
         correlation="type1",
         bound_fn=lambda x, C, s: (9.0 / (2.0 * math.pi**4)) * x**3 / C,
         notes="totient correlation vs (9/2π⁴)·x³/C",
@@ -255,7 +264,7 @@ _register(
 _register(
     _ClaimSpec(
         claim_id="cor6.4-musq",
-        kind_fn=lambda s: FunctionKind.mu_squared(),
+        kind_fn=lambda s: MU_SQUARED,
         correlation="type1",
         bound_fn=lambda x, C, s: (18.0 / math.pi**4) * x / C,
         notes="squarefree-indicator correlation vs (18/π⁴)·x/C",
@@ -264,7 +273,7 @@ _register(
 _register(
     _ClaimSpec(
         claim_id="thm7.2-master",
-        kind_fn=lambda s: FunctionKind.master_upsilon(),
+        kind_fn=lambda s: MASTER_UPSILON,
         correlation="type1",
         bound_fn=lambda x, C, s: x * _loglog(x) ** 2 / (2.0 * C),
         notes="semiprime-log correlation vs (x/2C)·(log log x)²",
@@ -273,7 +282,7 @@ _register(
 _register(
     _ClaimSpec(
         claim_id="thm5.2-liouville",
-        kind_fn=lambda s: FunctionKind.liouville(),
+        kind_fn=lambda s: LIOUVILLE,
         correlation="type1",
         shift_fn=lambda s: 1,
         bound_fn=lambda x, C, s: _liouville_envelope(x, s),
@@ -287,7 +296,7 @@ _register(
 _register(
     _ClaimSpec(
         claim_id="thm8.1-goldbach",
-        kind_fn=lambda s: FunctionKind.von_mangoldt(),
+        kind_fn=lambda s: VON_MANGOLDT,
         correlation="type2",
         bound_fn=lambda x, D, s: (x / 2.0) * D,
         even_x_only=True,
@@ -307,7 +316,7 @@ _register(
 _register(
     _ClaimSpec(
         claim_id="thm9.2-phi-type2",
-        kind_fn=lambda s: FunctionKind.euler_phi(),
+        kind_fn=lambda s: EULER_PHI,
         correlation="type2",
         bound_fn=lambda x, D, s: D * (9.0 / (2.0 * math.pi**4)) * x**3,
         notes="totient representation sum vs D·(9/2π⁴)·x³",
@@ -329,7 +338,7 @@ _register(
 _register(
     _ClaimSpec(
         claim_id="thm7.3-master-type2",
-        kind_fn=lambda s: FunctionKind.master_upsilon(),
+        kind_fn=lambda s: MASTER_UPSILON,
         correlation="type2",
         bound_fn=lambda x, D, s: (x / 2.0) * D * _loglog(x) ** 2,
         notes="semiprime-log representation sum vs (x/2)·D·(log log x)²",

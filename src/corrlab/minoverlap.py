@@ -152,16 +152,9 @@ def difference_histogram(s: Splitting) -> DifferenceHistogram:
 
 
 def _reverse_mask(mask: int, n: int) -> int:
-    out = 0
-    for _ in range(n):
-        out = (out << 1) | (mask & 1)
-        mask >>= 1
-    return out
-
-
-def _lex_key(mask: int, n: int) -> int:
-    """Numeric key whose order equals lexicographic order of the bit string."""
-    return _reverse_mask(mask, n)
+    """Bit-reversed n-bit mask: its numeric order is the lexicographic order
+    of :attr:`Splitting.bits`."""
+    return int(format(mask, f"0{n}b")[::-1], 2)
 
 
 def _hist_max_bitmask(mask_a: int, mask_b: int, n: int, abort_above: int) -> int:
@@ -290,8 +283,8 @@ def exact_Mn(n: int, cap: int = DEFAULT_EXACT_CAP) -> OverlapResult:
             partner = _reverse_mask(mask_a, n)
         else:
             partner = _reverse_mask(full ^ mask_a, n)
-        key = _lex_key(mask_a, n)
-        if _lex_key(partner, n) < key:
+        key = _reverse_mask(mask_a, n)
+        if _reverse_mask(partner, n) < key:
             continue
         mask_b = full ^ mask_a
         m = _hist_max_bitmask(mask_a, mask_b, n, abort_above=best_m)
@@ -305,21 +298,25 @@ def exact_Mn(n: int, cap: int = DEFAULT_EXACT_CAP) -> OverlapResult:
     )
 
 
-def _swap_delta_arrays(a: int, b: int, a_arr: np.ndarray, b_arr: np.ndarray, n: int):
-    """Index updates to the difference counts for swapping a (in A) with b."""
-    subs = [a - b_arr + n, a_arr - b + n]
-    adds = [b - b_arr + n, a_arr - a + n]
-    scalar = [(a - b + n, 1), (b - a + n, 1), (n, -2)]
-    return subs, adds, scalar
+def _swap_counts(
+    counts: np.ndarray, alpha: np.ndarray, beta: np.ndarray, a: int, b: int, n: int
+) -> np.ndarray:
+    """Difference counts after swapping a (in A) with b (in B).
 
-
-def _apply_delta(counts: np.ndarray, subs, adds, scalar) -> None:
-    for idx in subs:
-        np.subtract.at(counts, idx, 1)
-    for idx in adds:
-        np.add.at(counts, idx, 1)
-    for pos, v in scalar:
-        counts[pos] += v
+    ``alpha[x + n]`` and ``beta[x + n]`` are A's and B's 0/1 indicators at
+    x in [−n, 2n], zero outside 1..n.  The swap moves M_k by
+    α[a+k] − α[b+k] + β[b−k] − β[a−k], four slices over k in [−n, n], plus
+    +1 at k = a−b and at k = b−a and −2 at k = 0.
+    """
+    w = 2 * n + 1
+    cand = counts + alpha[a : a + w]
+    cand -= alpha[b : b + w]
+    cand += beta[b + 2 * n : b - 1 : -1]  # β[b−k] runs backwards
+    cand -= beta[a + 2 * n : a - 1 : -1]
+    cand[a - b + n] += 1
+    cand[b - a + n] += 1
+    cand[n] -= 2
+    return cand
 
 
 def heuristic_Mn(
@@ -327,11 +324,14 @@ def heuristic_Mn(
 ) -> OverlapResult:
     """Annealed swap search for a low-max splitting; deterministic per seed.
 
-    Moves exchange one element of A with one of B; the difference counts
-    update incrementally.  Cooling is geometric from a temperature chosen so
-    roughly half the uphill moves seen in a short warmup would accept.  The
-    achieved max is always an upper bound on the true M(n); element 1 stays
-    pinned in A, which costs no generality.
+    Moves exchange one element of A with one of B.  M_k is the
+    cross-correlation Σ_x α[x]·β[x−k] of A's and B's 0/1 indicators, so a
+    swap changes it by four shifted indicator slices (see
+    :func:`_swap_counts`) and the indicators change in four cells.  Cooling
+    is geometric from a temperature chosen so roughly half the uphill moves
+    seen in a short warmup would accept.  The achieved max is always an
+    upper bound on the true M(n); element 1 stays pinned in A, which costs
+    no generality.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 2, got {n}")
@@ -339,54 +339,35 @@ def heuristic_Mn(
         raise ValueError(f"budget must be >= 1, got {budget}")
     rng = random.Random(seed)
     half = n // 2
+    # At n = 2 only one splitting exists: nothing to search.
+    steps = budget if half > 1 else 0
 
     a_list = [1] + rng.sample(range(2, n + 1), half - 1)
     a_set = set(a_list)
     b_list = [v for v in range(1, n + 1) if v not in a_set]
-    a_arr = np.array(a_list, dtype=np.int64)
-    b_arr = np.array(b_list, dtype=np.int64)
-    counts = difference_histogram(Splitting.from_a(n, a_list)).counts.copy()
+    alpha = np.zeros(3 * n + 1, dtype=np.int64)
+    beta = np.zeros(3 * n + 1, dtype=np.int64)
+    alpha[[e + n for e in a_list]] = 1
+    beta[[e + n for e in b_list]] = 1
+    start = Splitting.from_a(n, a_list)
+    counts = difference_histogram(start).counts.copy()
     cur_max = int(counts.max())
 
-    mask = 0
-    for e in a_list:
-        mask |= 1 << (e - 1)
+    mask = start.mask
     best_max = cur_max
     best_mask = mask
-    best_key = _lex_key(mask, n)
-
-    if half == 1:
-        # Only one splitting exists; nothing to search.
-        witness = Splitting(n, best_mask)
-        return _finalize(
-            OverlapResult(
-                n=n,
-                m=best_max,
-                witness=witness,
-                method="heuristic",
-                budget=budget,
-                seed=seed,
-            )
-        )
+    best_key = _reverse_mask(mask, n)
 
     def propose():
         i = rng.randrange(1, half)  # never moves the pinned element 1
         j = rng.randrange(half)
         return i, j
 
-    def candidate_max(i: int, j: int) -> tuple[np.ndarray, int]:
-        a = int(a_arr[i])
-        b = int(b_arr[j])
-        cand = counts.copy()
-        subs, adds, scalar = _swap_delta_arrays(a, b, a_arr, b_arr, n)
-        _apply_delta(cand, subs, adds, scalar)
-        return cand, int(cand.max())
-
     # Warmup: size the starting temperature from observed uphill deltas.
     uphill: list[int] = []
-    for _ in range(min(100, budget)):
+    for _ in range(min(100, steps)):
         i, j = propose()
-        _, m_new = candidate_max(i, j)
+        m_new = int(_swap_counts(counts, alpha, beta, a_list[i], b_list[j], n).max())
         if m_new > cur_max:
             uphill.append(m_new - cur_max)
     if uphill:
@@ -396,26 +377,29 @@ def heuristic_Mn(
         t0 = 1.0
     t_end = 0.05
 
-    for step in range(budget):
+    for step in range(steps):
         frac = step / max(1, budget - 1)
         temp = t0 * (t_end / t0) ** frac
         i, j = propose()
-        cand, m_new = candidate_max(i, j)
+        a = a_list[i]
+        b = b_list[j]
+        cand = _swap_counts(counts, alpha, beta, a, b, n)
+        m_new = int(cand.max())
         delta = m_new - cur_max
         if delta <= 0 or rng.random() < math.exp(-delta / temp):
-            a = int(a_arr[i])
-            b = int(b_arr[j])
             counts = cand
             cur_max = m_new
-            a_arr[i] = b
-            b_arr[j] = a
+            a_list[i] = b
+            b_list[j] = a
+            alpha[a + n] = beta[b + n] = 0
+            alpha[b + n] = beta[a + n] = 1
             mask ^= (1 << (a - 1)) | (1 << (b - 1))
             if cur_max < best_max:
                 best_max = cur_max
                 best_mask = mask
-                best_key = _lex_key(mask, n)
+                best_key = _reverse_mask(mask, n)
             elif cur_max == best_max:
-                key = _lex_key(mask, n)
+                key = _reverse_mask(mask, n)
                 if key < best_key:
                     best_mask = mask
                     best_key = key

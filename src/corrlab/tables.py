@@ -96,36 +96,8 @@ class FunctionKind:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def von_mangoldt(cls) -> "FunctionKind":
-        return cls(Variant.VON_MANGOLDT)
-
-    @classmethod
     def divisor(cls, order: int = 2) -> "FunctionKind":
         return cls(Variant.DIVISOR, order=order)
-
-    @classmethod
-    def euler_phi(cls) -> "FunctionKind":
-        return cls(Variant.EULER_PHI)
-
-    @classmethod
-    def mu_squared(cls) -> "FunctionKind":
-        return cls(Variant.MU_SQUARED)
-
-    @classmethod
-    def liouville(cls) -> "FunctionKind":
-        return cls(Variant.LIOUVILLE)
-
-    @classmethod
-    def big_omega(cls) -> "FunctionKind":
-        return cls(Variant.BIG_OMEGA)
-
-    @classmethod
-    def master_upsilon(cls) -> "FunctionKind":
-        return cls(Variant.MASTER_UPSILON)
-
-    @classmethod
-    def constant_one(cls) -> "FunctionKind":
-        return cls(Variant.CONSTANT_ONE)
 
     @classmethod
     def custom(cls, name: str) -> "FunctionKind":
@@ -162,13 +134,13 @@ class FunctionKind:
         return self.variant.value
 
 
-VON_MANGOLDT = FunctionKind.von_mangoldt()
-EULER_PHI = FunctionKind.euler_phi()
-MU_SQUARED = FunctionKind.mu_squared()
-LIOUVILLE = FunctionKind.liouville()
-BIG_OMEGA = FunctionKind.big_omega()
-MASTER_UPSILON = FunctionKind.master_upsilon()
-CONSTANT_ONE = FunctionKind.constant_one()
+VON_MANGOLDT = FunctionKind(Variant.VON_MANGOLDT)
+EULER_PHI = FunctionKind(Variant.EULER_PHI)
+MU_SQUARED = FunctionKind(Variant.MU_SQUARED)
+LIOUVILLE = FunctionKind(Variant.LIOUVILLE)
+BIG_OMEGA = FunctionKind(Variant.BIG_OMEGA)
+MASTER_UPSILON = FunctionKind(Variant.MASTER_UPSILON)
+CONSTANT_ONE = FunctionKind(Variant.CONSTANT_ONE)
 
 
 @dataclass(frozen=True, eq=False)

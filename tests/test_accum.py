@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from corrlab._accum import (
     compensated_cumsum,
     compensated_dot,
-    compensated_sum,
     exact_cumsum,
     exact_dot,
     exact_sum,
@@ -144,11 +143,6 @@ class TestCompensated:
         expect = math.fsum(float(x) * float(y) for x, y in zip(a, b))
         assert compensated_dot(a, b) == pytest.approx(expect, rel=1e-14, abs=1e-12)
 
-    def test_sum_cancellation(self):
-        # Alternating large/small values defeat naive np.sum accuracy.
-        a = np.array([1e16, 1.0, -1e16, 1.0] * 2500)
-        assert compensated_sum(a) == pytest.approx(5000.0)
-
     def test_cumsum_final_entry_matches_fsum(self):
         rng = random.Random(5)
         vals = [rng.uniform(-1e8, 1e8) for _ in range(10_000)]
@@ -173,6 +167,5 @@ class TestCompensated:
 
     def test_empty(self):
         z = np.array([], dtype=float)
-        assert compensated_sum(z) == 0.0
         assert compensated_dot(z, z) == 0.0
         assert compensated_cumsum(z).size == 0

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from corrlab import (
     CONSTANT_ONE,
+    LIOUVILLE,
     MU_SQUARED,
     VON_MANGOLDT,
     BudgetExceeded,
@@ -166,7 +167,7 @@ class TestPairSumClosedForm:
 class TestIdentityCheck:
     @pytest.mark.parametrize(
         "kind",
-        [FunctionKind.divisor(2), VON_MANGOLDT, FunctionKind.liouville()],
+        [FunctionKind.divisor(2), VON_MANGOLDT, LIOUVILLE],
         ids=lambda k: k.label,
     )
     def test_three_routes_agree_at_500(self, kind):

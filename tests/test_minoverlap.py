@@ -8,9 +8,11 @@ bitmasks, no pruning.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from corrlab import (
@@ -22,6 +24,7 @@ from corrlab import (
     exact_Mn,
     heuristic_Mn,
 )
+from corrlab.minoverlap import _reverse_mask, _swap_counts
 
 
 # -- clean-room oracle --------------------------------------------------------
@@ -122,6 +125,28 @@ class TestDifferenceHistogram:
         assert h.count(-99) == 0
 
 
+class TestSwapCounts:
+    @pytest.mark.parametrize("n", [2, 4, 10, 40])
+    def test_matches_histogram_of_swapped_splitting(self, n):
+        # Every swap of a few random splittings, so moves of 1 and of n are
+        # always among them, from either half.
+        rng = random.Random(n)
+        for _ in range(4):
+            s = Splitting.from_a(n, rng.sample(range(1, n + 1), n // 2))
+            alpha = np.zeros(3 * n + 1, dtype=np.int64)
+            beta = np.zeros(3 * n + 1, dtype=np.int64)
+            alpha[[e + n for e in s.a_elements]] = 1
+            beta[[e + n for e in s.b_elements]] = 1
+            counts = difference_histogram(s).counts.copy()
+            for a in s.a_elements:
+                for b in s.b_elements:
+                    got = _swap_counts(counts, alpha, beta, a, b, n)
+                    swapped = Splitting(n, s.mask ^ (1 << (a - 1)) ^ (1 << (b - 1)))
+                    want = difference_histogram(swapped).counts
+                    assert got.tolist() == want.tolist(), (s.bits, a, b)
+            assert counts.tolist() == difference_histogram(s).counts.tolist()
+
+
 # -- exhaustive search --------------------------------------------------------
 
 
@@ -175,6 +200,17 @@ class TestExactMn:
     def test_rejects_odd_n(self):
         with pytest.raises(ValueError):
             exact_Mn(5)
+
+    def test_reverse_mask_orders_like_bits(self):
+        # Witness ties are broken on this key, so its order must be the
+        # lexicographic order of the membership strings.
+        n = 10
+        splits = [
+            Splitting.from_a(n, a)
+            for a in itertools.combinations(range(1, n + 1), n // 2)
+        ]
+        by_key = sorted(splits, key=lambda s: _reverse_mask(s.mask, n))
+        assert [s.bits for s in by_key] == sorted(s.bits for s in splits)
 
 
 # -- annealing ----------------------------------------------------------------

@@ -9,7 +9,6 @@ machine-parsable line to stderr of the form ``error: code=<CODE> <message>``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -57,15 +56,6 @@ def _payload_mode(text: str) -> PayloadMode | None:
     return PayloadMode.EXACT if text == "exact" else PayloadMode.FLOATING
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("CORRLAB_THREADS", "")
-    if env.isdigit() and int(env) > 0:
-        return int(env)
-    return os.cpu_count() or 1
-
-
 def _num(v) -> str:
     """Uniform numeric rendering for stdout (matches the CSV rendering)."""
     if isinstance(v, Fraction):
@@ -99,7 +89,6 @@ def build_parser() -> _Parser:
     cp.add_argument("--x", type=int, required=True)
     cp.add_argument("--shift", help="comma-separated shift list")
     cp.add_argument("--type2", action="store_true", help="representation sum at x")
-    cp.add_argument("--threads", type=int, default=0)
     cp.add_argument("--out", help="CSV output path")
     cp.set_defaults(func=_cmd_correlate)
 
@@ -118,7 +107,6 @@ def build_parser() -> _Parser:
     lp.add_argument("--epsilon", type=float, default=0.1)
     lp.add_argument("--c", type=float, default=1.0)
     lp.add_argument("--slack", type=float, default=0.25)
-    lp.add_argument("--threads", type=int, default=0)
     lp.add_argument("--out-dir", default="out")
     lp.add_argument("--no-svg", action="store_true")
     lp.set_defaults(func=_cmd_claims)
@@ -137,7 +125,6 @@ def build_parser() -> _Parser:
     rp = sub.add_parser("report", help="full pipeline from a config file")
     rp.add_argument("--config", help="key=value config file")
     rp.add_argument("--out-dir", default=None)
-    rp.add_argument("--threads", type=int, default=None)
     rp.add_argument("--grid", default=None, help="override x_grid")
     rp.add_argument("--no-svg", action="store_true")
     rp.set_defaults(func=_cmd_report)
@@ -190,7 +177,7 @@ def _cmd_correlate(args) -> int:
     table = build_table(kind, args.x, max(shifts, default=0))
     results = [type2(table, args.x)] if args.type2 else []
     if shifts:
-        results.extend(type1_sweep(table, args.x, list(shifts), _threads(args)))
+        results.extend(type1_sweep(table, args.x, list(shifts)))
     for r in results:
         line = (
             f"kind={r.kind.label} x={r.x} shift={r.shift_label} "
@@ -252,15 +239,31 @@ def _claims_from_arg(text: str) -> list[str]:
     return [p.strip() for p in text.split(",") if p.strip()]
 
 
-def _emit_claims(
-    claims, out_dir: str, digest: str, want_svg: bool, extra_tables=()
-) -> None:
-    out = Path(out_dir)
+def _claims_step(
+    cfg: ExperimentConfig, want_svg: bool, extra_tables=()
+) -> ReportBundle:
+    """Score the claims of a validated config, then write every artifact.
+
+    Nothing is written until every claim is scored: each extra table goes to
+    ``<name>.csv``, then come ``claims.csv``, ``report.json`` and the SVGs.
+    """
+    ids = list(cfg.claims) if cfg.claims else list(consts.ALL_CLAIMS)
+    settings = consts.ClaimSettings(
+        shift=cfg.shifts[0],
+        divisor_order=cfg.divisor_order,
+        epsilon=cfg.epsilon,
+        c=cfg.c,
+        slack=cfg.slack,
+    )
+    claims = consts.evaluate_claims(ids, list(cfg.x_grid), settings)
+    out = Path(cfg.out_dir)
+    for table in extra_tables:
+        write_csv(out / f"{table.name}.csv", table)
     rows = tuple(row for c in claims for row in c.rows())
     claims_table = ResultTable("claims", CLAIM_HEADER, rows)
     write_csv(out / "claims.csv", claims_table)
     bundle = ReportBundle(
-        meta=make_meta(__version__, digest),
+        meta=make_meta(__version__, cfg.digest()),
         tables=tuple(extra_tables) + (claims_table,),
         claims=tuple(claims),
     )
@@ -286,36 +289,25 @@ def _emit_claims(
                 log_y=all(p[1] > 0 and p[2] > 0 for p in finite),
             )
             write_svg(out / f"claim-{c.claim}.svg", svg)
+    return bundle
 
 
 def _cmd_claims(args) -> int:
-    ids = _claims_from_arg(args.claims)
-    grid = _parse_int_list(args.grid)
     cfg = ExperimentConfig(
-        x_grid=grid,
+        x_grid=_parse_int_list(args.grid),
         shifts=(args.shift,),
         slack=args.slack,
         epsilon=args.epsilon,
         c=args.c,
         divisor_order=args.divisor_order,
-        claims=tuple(ids),
+        claims=tuple(_claims_from_arg(args.claims)),
         out_dir=args.out_dir,
-        threads=args.threads,
     )
     try:
         cfg = cfg.validate()
     except ConfigError as exc:
         raise ValueError(str(exc))
-    settings = consts.ClaimSettings(
-        shift=args.shift,
-        divisor_order=args.divisor_order,
-        epsilon=args.epsilon,
-        c=args.c,
-        slack=args.slack,
-    )
-    claims = consts.evaluate_claims(ids, list(grid), settings, _threads(args))
-    _emit_claims(claims, args.out_dir, cfg.digest(), not args.no_svg)
-    for c in claims:
+    for c in _claims_step(cfg, not args.no_svg).claims:
         tally = {v: c.verdicts.count(v) for v in ("consistent", "violated", "vacuous")}
         print(
             f"{c.claim}: consistent={tally['consistent']} "
@@ -358,22 +350,18 @@ def _cmd_minoverlap(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.config:
-        try:
-            cfg = ExperimentConfig.from_text(Path(args.config).read_text())
-        except FileNotFoundError:
-            raise ValueError(f"config file not found: {args.config}")
-    else:
-        cfg = ExperimentConfig()
     try:
+        cfg = ExperimentConfig()
+        if args.config:
+            cfg = ExperimentConfig.from_text(Path(args.config).read_text())
         cfg = cfg.with_overrides(
             out_dir=args.out_dir,
-            threads=args.threads,
             x_grid=_parse_int_list(args.grid) if args.grid else None,
         )
+    except FileNotFoundError:
+        raise ValueError(f"config file not found: {args.config}")
     except ConfigError as exc:
         raise ValueError(str(exc))
-    threads = _threads(argparse.Namespace(threads=cfg.threads))
 
     # Correlation sweep over the configured kinds, shifts, and grid.
     corr_rows = []
@@ -387,25 +375,12 @@ def _cmd_report(args) -> int:
             mode=_payload_mode(cfg.payload_mode),
         )
         for x in cfg.x_grid:
-            for r in type1_sweep(table, x, list(cfg.shifts), threads):
+            for r in type1_sweep(table, x, list(cfg.shifts)):
                 corr_rows.append((r.kind.label, r.x, r.shift_label, r.value, r.terms))
     corr_table = ResultTable("correlations", CORRELATION_HEADER, tuple(corr_rows))
+    bundle = _claims_step(cfg, not args.no_svg, extra_tables=(corr_table,))
     out = Path(cfg.out_dir)
-    write_csv(out / "correlations.csv", corr_table)
-
-    ids = list(cfg.claims) if cfg.claims else list(consts.ALL_CLAIMS)
-    settings = consts.ClaimSettings(
-        shift=cfg.shifts[0],
-        divisor_order=cfg.divisor_order,
-        epsilon=cfg.epsilon,
-        c=cfg.c,
-        slack=cfg.slack,
-    )
-    claims = consts.evaluate_claims(ids, list(cfg.x_grid), settings, threads)
-    _emit_claims(
-        claims, cfg.out_dir, cfg.digest(), not args.no_svg, extra_tables=(corr_table,)
-    )
-    print(f"config_digest={cfg.digest()}")
+    print(f"config_digest={bundle.meta['config_digest']}")
     print(f"wrote {out / 'correlations.csv'}, {out / 'claims.csv'}, {out / 'report.json'}")
     return 0
 

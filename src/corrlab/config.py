@@ -2,10 +2,9 @@
 
 The on-disk form is deliberately trivial — one ``key=value`` per line,
 ``#`` comments, lists comma-separated — so configs diff cleanly and round-
-trip losslessly.  The digest covers only result-affecting keys: anything
-that merely changes *where* or *how fast* results are produced (output
-directory, thread count) stays out, so reruns on different machines with
-different parallelism carry the same digest.
+trip losslessly.  The digest leaves out the output directory, which changes
+only *where* results are written.  No key sets a thread count: the claims
+step sizes its own pool, and outputs do not depend on it.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 from .errors import ConfigError
 
 #: Keys that do not affect computed results and are excluded from the digest.
-EXECUTION_KEYS = frozenset({"threads", "out_dir"})
+EXECUTION_KEYS = frozenset({"out_dir"})
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,6 @@ class ExperimentConfig:
     # its value (bench/reference/report.json pins the default digest).
     segment_size: int = 0
     out_dir: str = "out"
-    threads: int = 0  # 0 = host parallelism; never affects results
 
     def validate(self) -> "ExperimentConfig":
         if not self.x_grid:
@@ -50,6 +48,8 @@ class ExperimentConfig:
             raise ConfigError(f"x_grid must be strictly increasing: {self.x_grid}")
         if self.x_grid[0] < 3:
             raise ConfigError("x_grid entries must be >= 3")
+        if not self.shifts:
+            raise ConfigError("shifts must be non-empty")
         if any(s < 1 for s in self.shifts):
             raise ConfigError(f"shifts must be positive: {self.shifts}")
         if self.tolerance <= 0:
@@ -66,8 +66,8 @@ class ExperimentConfig:
             raise ConfigError("oracle_cap and budget must be positive")
         if self.payload_mode not in ("auto", "exact", "floating"):
             raise ConfigError(f"unknown payload_mode: {self.payload_mode}")
-        if self.threads < 0 or self.segment_size < 0 or self.seed < 0:
-            raise ConfigError("threads, segment_size, and seed must be >= 0")
+        if self.segment_size < 0 or self.seed < 0:
+            raise ConfigError("segment_size and seed must be >= 0")
         return self
 
     # -- serialization -----------------------------------------------------

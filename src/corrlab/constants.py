@@ -20,6 +20,7 @@ fails.  A verdict is a desk-scale observation, never a proof.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -420,20 +421,27 @@ def _score(
     )
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on (``taskset`` narrows it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
+
+
 def evaluate_claims(
     claim_ids: Sequence[str],
     grid: Sequence[int],
     settings: ClaimSettings = ClaimSettings(),
-    threads: int = 1,
 ) -> list[ClaimReport]:
     """Evaluate several claims; order follows the input list.
 
     Claims are grouped by function kind, and each kind's table is sieved
     once, at max(grid) with the largest shift its claims read, then shared
     by all of them.  A value at n does not depend on the table's span, so
-    every report equals :func:`evaluate_claim` of that id alone.  With
-    ``threads`` > 1 the kinds run concurrently; outputs are identical to the
-    serial run.
+    every report equals :func:`evaluate_claim` of that id alone.  The kinds
+    run on one thread each, up to the CPUs the process may use; outputs do
+    not depend on the number of threads.
     """
     specs = []
     for cid in claim_ids:
@@ -460,13 +468,13 @@ def evaluate_claims(
         table = build_table(kind, max(grid), shift_headroom=headroom)
         return [_score(spec, table, grid, settings) for spec in members]
 
-    if threads > 1 and len(by_kind) > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    if not by_kind:
+        return []
+    # Imported here so that runs which score no claims never load it.
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scored = list(pool.map(run_kind, by_kind))
-    else:
-        scored = [run_kind(kind) for kind in by_kind]
+    with ThreadPoolExecutor(max_workers=min(len(by_kind), _cpu_count())) as pool:
+        scored = list(pool.map(run_kind, by_kind))
 
     reports: dict[int, ClaimReport] = {}
     for indices, kind_reports in zip(by_kind.values(), scored):

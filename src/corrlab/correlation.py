@@ -90,14 +90,12 @@ def type2(table: FunctionTable, x: int) -> CorrelationResult:
 
 
 def type1_sweep(
-    table: FunctionTable, x: int, shifts: Sequence[int], threads: int = 1
+    table: FunctionTable, x: int, shifts: Sequence[int]
 ) -> list[CorrelationResult]:
     """type1 at each shift, in input order.
 
     All shifts are validated before any work so a bad entry is reported by
-    name up front.  With ``threads`` > 1 the shifts evaluate concurrently;
-    results keep input order and are bitwise independent of thread count
-    because each evaluation is self-contained.
+    name up front.
     """
     for l in shifts:
         if l < 1:
@@ -107,11 +105,6 @@ def type1_sweep(
                 f"{table.kind.label}: shift {l} of sweep needs f up to {x + l}, "
                 f"but the table covers only 1..{table.span}"
             )
-    if threads > 1 and len(shifts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda l: type1(table, x, l), shifts))
     return [type1(table, x, l) for l in shifts]
 
 

@@ -43,6 +43,7 @@ from corrlab import (
     type1,
     type2,
 )
+from corrlab import constants
 from corrlab.cli import main as cli_main
 from corrlab.report import ResultTable, render_csv
 
@@ -305,15 +306,17 @@ def test_criterion_7_liouville_cancellation(acceptance_log):
     assert elapsed < 60.0
 
 
-def test_criterion_8_determinism_of_full_claim_suite(acceptance_log, tmp_path):
+def test_criterion_8_determinism_of_full_claim_suite(
+    acceptance_log, tmp_path, monkeypatch
+):
     def run(out_dir, threads):
+        monkeypatch.setattr(constants, "_cpu_count", lambda: threads)
         code = cli_main(
             [
                 "claims",
                 "--claims", "all",
                 "--grid", "1000,10000,100000",
                 "--out-dir", str(out_dir),
-                "--threads", str(threads),
                 "--no-svg",
             ]
         )

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
-from corrlab import cli
+from corrlab import cli, constants
 from corrlab.cli import main
 from corrlab.report import read_csv
 from corrlab.tables import build_table
@@ -59,6 +60,21 @@ class TestExitCodes:
         ],
     )
     def test_out_of_range_value_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: code=USAGE")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["claims", "--threads", "2"],
+            ["report", "--threads", "2"],
+            ["correlate", "--kind", "musquared", "--x", "100", "--shift", "1",
+             "--threads", "2"],
+        ],
+    )
+    def test_no_thread_flag(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("error: code=USAGE")
@@ -198,6 +214,16 @@ class TestClaims:
         )
         assert code == 1
 
+    def test_default_digest_matches_bench_reference(self, capsys, tmp_path):
+        # claims-default checks its report.json against this reference file,
+        # so a config change that moves the default digest fails here first.
+        reference = Path(__file__).resolve().parents[1] / "bench" / "reference"
+        pinned = json.loads((reference / "report.json").read_text())
+        code, _, _ = run(capsys, "claims", "--out-dir", str(tmp_path), "--no-svg")
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["meta"]["config_digest"] == pinned["meta"]["config_digest"]
+
     def test_svg_emitted_by_default(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,
@@ -229,15 +255,15 @@ class TestMinoverlap:
 
 
 class TestReport:
-    def test_full_pipeline_deterministic(self, capsys, tmp_path):
+    def test_full_pipeline_deterministic(self, capsys, tmp_path, monkeypatch):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        for d, threads in ((a_dir, "1"), (b_dir, "2")):
+        for d, threads in ((a_dir, 1), (b_dir, 2)):
+            monkeypatch.setattr(constants, "_cpu_count", lambda: threads)
             code, _, _ = run(
                 capsys,
                 "report",
                 "--grid", "100,1000,2000",
                 "--out-dir", str(d),
-                "--threads", threads,
                 "--no-svg",
             )
             assert code == 0
@@ -268,3 +294,29 @@ class TestReport:
     def test_missing_config_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "report", "--config", str(tmp_path / "nope.cfg"))
         assert code == 1
+
+    @pytest.mark.parametrize("kinds", ["", "musquared"])
+    def test_empty_shifts_is_usage_error(self, capsys, tmp_path, kinds):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"x_grid = 100,1000\nkinds = {kinds}\nshifts =\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err = run(
+            capsys, "report", "--config", str(cfg), "--out-dir", str(out)
+        )
+        assert code == 1
+        assert err.startswith("error: code=USAGE shifts must be non-empty")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_failed_claims_step_writes_nothing(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("x_grid = 100,1000\nkinds = musquared\nclaims = bogus\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err = run(
+            capsys, "report", "--config", str(cfg), "--out-dir", str(out)
+        )
+        assert code == 2
+        assert err.startswith("error: code=UNKNOWNCLAIM")
+        assert list(out.iterdir()) == []

@@ -63,6 +63,7 @@ class TestExperimentConfig:
             {"x_grid": (100, 50)},
             {"x_grid": (2, 10)},
             {"shifts": (0,)},
+            {"shifts": ()},
             {"tolerance": 0.0},
             {"slack": -0.1},
             {"epsilon": 1.5},
@@ -83,7 +84,7 @@ class TestExperimentConfig:
 
     def test_digest_stable_and_execution_independent(self):
         base = ExperimentConfig(seed=3)
-        same_work = ExperimentConfig(seed=3, threads=8, out_dir="elsewhere")
+        same_work = ExperimentConfig(seed=3, out_dir="elsewhere")
         different_work = ExperimentConfig(seed=4)
         assert base.digest() == same_work.digest()
         assert base.digest() != different_work.digest()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -182,15 +183,46 @@ class TestEvaluateClaims:
         with pytest.raises(UnknownClaim):
             evaluate_claims(["thm3.1-twin", "bogus"], [100, 1000, 2000])
 
-    def test_threaded_matches_serial(self):
+    def test_threaded_matches_serial(self, monkeypatch):
         ids = ["thm3.1-twin", "cor6.4-musq", "thm9.1-divisor-type2"]
         grid = [100, 1000, 3000]
-        serial = evaluate_claims(ids, grid, threads=1)
-        threaded = evaluate_claims(ids, grid, threads=3)
+        monkeypatch.setattr(constants, "_cpu_count", lambda: 1)
+        serial = evaluate_claims(ids, grid)
+        monkeypatch.setattr(constants, "_cpu_count", lambda: 3)
+        threaded = evaluate_claims(ids, grid)
         assert [r.claim for r in serial] == [r.claim for r in threaded] == ids
         for a, b in zip(serial, threaded):
             assert a.computed == b.computed
             assert a.verdicts == b.verdicts
+
+    def test_no_claims(self):
+        assert evaluate_claims([], [100, 1000]) == []
+
+    @pytest.mark.parametrize(
+        "ids, cpus, workers",
+        [(ALL_CLAIMS, 3, 3), (ALL_CLAIMS, 16, 7), (["cor6.4-musq"], 4, 1)],
+    )
+    def test_pool_is_kinds_capped_by_cpus(self, monkeypatch, ids, cpus, workers):
+        import concurrent.futures
+
+        sizes = []
+        real = concurrent.futures.ThreadPoolExecutor
+
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(constants, "_cpu_count", lambda: cpus)
+        evaluate_claims(ids, [100, 1000])
+        assert sizes == [workers]
+
+    def test_cpu_count_follows_affinity(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert constants._cpu_count() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert constants._cpu_count() == 5
 
 
 class TestRunPlan:
@@ -225,14 +257,15 @@ class TestRunPlan:
         assert headroom[VON_MANGOLDT.label] == 2
         assert headroom[LIOUVILLE.label] == 1
 
-    def test_shared_tables_match_single_claims(self):
+    def test_shared_tables_match_single_claims(self, monkeypatch):
         # The single-claim call sieves a table with a different span, so
         # equal text means the span does not change any value.  Rows are
         # compared as rendered CSV because vacuous rows hold NaN.
         settings = ClaimSettings(shift=3, divisor_order=2)
         grid = (100, 999, 3000)
         ids = list(ALL_CLAIMS) + ["thm8.1-goldbach"]
-        reports = evaluate_claims(ids, grid, settings, threads=2)
+        monkeypatch.setattr(constants, "_cpu_count", lambda: 2)
+        reports = evaluate_claims(ids, grid, settings)
         assert [r.claim for r in reports] == ids
         for cid, rep in zip(ids, reports):
             alone = evaluate_claim(cid, grid, settings)

@@ -146,14 +146,6 @@ class TestSweep:
             single = type1(t, 150, l)
             assert (r.shift, r.value, r.terms) == (single.shift, single.value, single.terms)
 
-    def test_threaded_matches_serial(self):
-        t = build_table(VON_MANGOLDT, 2000, 6)
-        shifts = [1, 2, 4, 6]
-        serial = type1_sweep(t, 2000, shifts, threads=1)
-        threaded = type1_sweep(t, 2000, shifts, threads=3)
-        assert [r.value for r in serial] == [r.value for r in threaded]
-        assert [r.shift for r in threaded] == shifts
-
     def test_offending_shift_named_before_any_work(self):
         t = build_table(MU_SQUARED, 10, 2)
         with pytest.raises(RangeError, match="shift 7"):

@@ -8,6 +8,11 @@ otherwise the wider operand is split into high/low digits until they do.
 
 Float paths bound the relative error of long reductions by combining
 blockwise ``numpy`` kernels with ``math.fsum`` across block totals.
+
+Long operands are walked in chunks of ``_CHUNK`` entries.  Two int64 chunks
+take 1 MiB, which fits in a core's L2 cache, so every pass a kernel makes
+over a chunk after the first (bit-width scans, products, the nonzero count
+of :func:`counted_dot`) reads from cache instead of from RAM.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ import numpy as np
 # max|term| * len < 2**62, leaving a guard bit under the 2**63 signed limit.
 _SAFE_PRODUCT_BITS = 62
 
-# Top-level chunk for exact_dot: bounds the int64 product and digit
-# temporaries of the blocked reduction.
-_EXACT_CHUNK = 1 << 19
+# Chunk length of the operand walks: two int64 chunks fit in L2 together.
+# It bounds the int64 product and digit temporaries of the blocked reduction,
+# and is a multiple of _FLOAT_BLOCK so float block totals do not depend on it.
+_CHUNK = 1 << 16
 
 # Digit width for the high/low split of oversized operands.
 _SPLIT_BITS = 20
@@ -87,10 +93,36 @@ def exact_dot(a: np.ndarray, b: np.ndarray) -> int:
     a64 = np.asarray(a, dtype=np.int64)
     b64 = np.asarray(b, dtype=np.int64)
     total = 0
-    for start in range(0, a64.size, _EXACT_CHUNK):
-        stop = start + _EXACT_CHUNK
+    for start in range(0, a64.size, _CHUNK):
+        stop = start + _CHUNK
         total += _dot_exact_core(a64[start:stop], b64[start:stop])
     return total
+
+
+def counted_dot(a: np.ndarray, b: np.ndarray, exact: bool) -> tuple[int | float, int]:
+    """Dot product and count of the nonzero products, in one pass.
+
+    Each chunk of both operands is read from memory once and then counted
+    and multiplied while it is in cache.  The value equals
+    :func:`exact_dot` (``exact``) or :func:`compensated_dot`; the count is
+    the number of i with a[i] and b[i] both nonzero (-0.0 counts as zero).
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    dtype = np.int64 if exact else np.float64
+    total, partials, terms = 0, [], 0
+    for start in range(0, a.size, _CHUNK):
+        stop = start + _CHUNK
+        # A reversed view is copied once here, so every np.dot below gets
+        # contiguous blocks, as compensated_dot gives it.
+        x = np.ascontiguousarray(a[start:stop], dtype=dtype)
+        y = np.ascontiguousarray(b[start:stop], dtype=dtype)
+        terms += int(np.count_nonzero(np.logical_and(x, y)))
+        if exact:
+            total += _dot_exact_core(x, y)
+        else:
+            partials += _block_dots(x, y)
+    return (total if exact else math.fsum(partials)), terms
 
 
 def exact_sum(a: np.ndarray) -> int:
@@ -101,18 +133,35 @@ def exact_sum(a: np.ndarray) -> int:
     return _sum_int64(a64, _bits(a64))
 
 
+def sums_fit_int64(a: np.ndarray) -> bool:
+    """Whether every sum of entries of the int64 array ``a`` provably fits."""
+    return _bits(a) + a.size.bit_length() <= _SAFE_PRODUCT_BITS
+
+
+def exact_prefix_sums(a: np.ndarray) -> np.ndarray:
+    """Exact S(0), S(1), ..., S(n) of an integer array, with S(0) = 0.
+
+    Returns an int64 array, written in one pass, when every partial sum
+    provably fits, otherwise an object-dtype array of Python ints.
+    """
+    if a.dtype != object:
+        a64 = np.asarray(a, dtype=np.int64)
+        if sums_fit_int64(a64):
+            out = np.empty(a64.size + 1, dtype=np.int64)
+            out[0] = 0
+            np.cumsum(a64, out=out[1:])
+            return out
+        a = a64.astype(object)
+    return np.concatenate([np.zeros(1, dtype=object), np.cumsum(a)])
+
+
 def exact_cumsum(a: np.ndarray) -> np.ndarray:
     """Exact running sums of an integer array.
 
     Returns an int64 array when every partial sum provably fits, otherwise
     an object-dtype array of Python ints.
     """
-    if a.dtype != object:
-        a64 = np.asarray(a, dtype=np.int64)
-        if _bits(a64) + a64.size.bit_length() <= _SAFE_PRODUCT_BITS:
-            return np.cumsum(a64)
-        a = a64.astype(object)
-    return np.cumsum(a)
+    return exact_prefix_sums(a)[1:]
 
 
 def compensated_dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -126,11 +175,15 @@ def compensated_dot(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     af = np.ascontiguousarray(a, dtype=np.float64)
     bf = np.ascontiguousarray(b, dtype=np.float64)
-    partials = [
-        float(np.dot(af[s : s + _FLOAT_BLOCK], bf[s : s + _FLOAT_BLOCK]))
-        for s in range(0, af.size, _FLOAT_BLOCK)
+    return math.fsum(_block_dots(af, bf))
+
+
+def _block_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """``np.dot`` of each ``_FLOAT_BLOCK``-term block of two contiguous arrays."""
+    return [
+        float(np.dot(a[s : s + _FLOAT_BLOCK], b[s : s + _FLOAT_BLOCK]))
+        for s in range(0, a.size, _FLOAT_BLOCK)
     ]
-    return math.fsum(partials)
 
 
 def compensated_cumsum(a: np.ndarray) -> np.ndarray:

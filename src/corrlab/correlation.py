@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from ._accum import compensated_dot, exact_dot
+from ._accum import counted_dot
 from .errors import DegenerateSum, RangeError
 from .identity import bilinear_rhs
 from .tables import FunctionKind, FunctionTable
@@ -57,10 +55,9 @@ def type1(table: FunctionTable, x: int, l: int) -> CorrelationResult:
             f"{table.kind.label}: shift {l} needs f up to {x + l}, but the "
             f"table covers only 1..{table.span}; rebuild with more headroom"
         )
-    a = table.values[:x]
-    b = table.values[l : l + x]
-    terms = int(np.count_nonzero(np.logical_and(a, b)))
-    value = exact_dot(a, b) if table.is_exact else compensated_dot(a, b)
+    value, terms = counted_dot(
+        table.values[:x], table.values[l : l + x], table.is_exact
+    )
     return CorrelationResult(table.kind, x, l, value, terms)
 
 
@@ -78,10 +75,10 @@ def type2(table: FunctionTable, x: int) -> CorrelationResult:
             f"{table.kind.label}: x={x} exceeds table limit {table.limit}"
         )
     half = (x - 1) // 2  # last n strictly below x/2
-    a = table.values[:half]
-    b = table.values[x - half - 1 : x - 1][::-1]  # f(x-n) for n = 1..half
-    terms = int(np.count_nonzero(np.logical_and(a, b)))
-    value = exact_dot(a, b) if table.is_exact else compensated_dot(a, b)
+    # The second operand is f(x-n) for n = 1..half, a reversed view.
+    value, terms = counted_dot(
+        table.values[:half], table.values[x - half - 1 : x - 1][::-1], table.is_exact
+    )
     middle = None
     if x % 2 == 0:
         mid = table.value(x // 2)

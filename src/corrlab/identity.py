@@ -23,6 +23,7 @@ from ._accum import (
     exact_cumsum,
     exact_dot,
     exact_sum,
+    sums_fit_int64,
 )
 from .errors import BudgetExceeded, RangeError
 from .tables import FunctionTable, PayloadMode, PrefixSums
@@ -140,10 +141,24 @@ def bilinear_rhs(
 ) -> int | float:
     """sum_{2<=n<=x} f(n) · S(n-1), the bilinear form of the decomposition.
 
-    O(x) given the running prefix sums; exact for exact payloads.  An
-    optional precomputed ``prefix`` (for the same table, limit >= x) skips
-    the cumulative pass when sweeping many x.
+    Which route runs:
+
+    * exact payload, no ``prefix``: :func:`pair_sum_closed_form`, the same
+      integer from one sum and one self dot product, with no running sums;
+    * a ``prefix`` (for the same table, limit >= x-1), or a floating payload:
+      the prefix route, one O(x) dot product of f(n) with S(n-1).  Floating
+      payloads stay on it because the closed form rounds differently.
     """
+    if prefix is None and table.is_exact:
+        return pair_sum_closed_form(table, x)
+    return _bilinear_prefix(table, x, prefix)
+
+
+def _bilinear_prefix(
+    table: FunctionTable, x: int, prefix: PrefixSums | None = None
+) -> int | float:
+    """The prefix route of :func:`bilinear_rhs`; runs its own cumulative pass
+    when no ``prefix`` is given."""
     _check_range(table, x)
     if x == 1:
         return 0 if table.is_exact else 0.0
@@ -178,9 +193,13 @@ def double_sum_lhs_oracle(
         )
     vals = table.values
     if table.is_exact:
+        # One bound for every row: each is a slice of f(1..x), so when no sum
+        # of those entries can overflow, a plain int64 sum is exact.
+        fits = sums_fit_int64(vals[:x])
         total = 0
         for n in range(1, x):
-            inner = exact_sum(vals[n:x])  # f(n+1) + ... + f(x)
+            row = vals[n:x]  # f(n+1) + ... + f(x)
+            inner = int(row.sum()) if fits else exact_sum(row)
             total += int(vals[n - 1]) * inner
         return total
     rows = [float(vals[n - 1]) * float(np.sum(vals[n:x])) for n in range(1, x)]
@@ -208,9 +227,10 @@ def identity_check(
     tolerance: float = DEFAULT_TOLERANCE,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> IdentityCheckResult:
-    """Cross-validate the decomposition: quadratic oracle vs bilinear form."""
+    """Cross-validate the decomposition: quadratic oracle vs the prefix route
+    of the bilinear form (never the closed form, which is a third route)."""
     lhs = double_sum_lhs_oracle(table, x, oracle_cap)
-    rhs = bilinear_rhs(table, x)
+    rhs = _bilinear_prefix(table, x)
     if table.is_exact:
         return IdentityCheckResult(lhs, rhs, lhs == rhs, PayloadMode.EXACT)
     return IdentityCheckResult(

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _sieves
-from ._accum import compensated_cumsum, exact_cumsum
+from ._accum import compensated_cumsum, exact_prefix_sums
 from .errors import RangeError, UnsupportedKind
 
 
@@ -314,17 +314,10 @@ def prefix_sums(table: FunctionTable) -> PrefixSums:
     """
     head = table.values[: table.limit]
     if table.is_exact:
-        cums = exact_cumsum(head)
-        zero = np.zeros(1, dtype=cums.dtype)
+        sums = exact_prefix_sums(head)
     else:
-        cums = compensated_cumsum(head)
-        zero = np.zeros(1, dtype=np.float64)
-    return PrefixSums(
-        kind=table.kind,
-        limit=table.limit,
-        mode=table.mode,
-        sums=np.concatenate([zero, cums]),
-    )
+        sums = np.concatenate([np.zeros(1), compensated_cumsum(head)])
+    return PrefixSums(kind=table.kind, limit=table.limit, mode=table.mode, sums=sums)
 
 
 def mean_value_reference(kind: FunctionKind, x: int) -> float:

@@ -15,6 +15,7 @@ from corrlab._accum import (
     compensated_dot,
     exact_cumsum,
     exact_dot,
+    exact_prefix_sums,
     exact_sum,
 )
 
@@ -128,6 +129,13 @@ class TestExactSumAndCumsum:
         a = np.full(10, 2**62, dtype=object)
         out = exact_cumsum(np.array(a))
         assert int(out[-1]) == 10 * 2**62
+
+    def test_prefix_sums_lead_with_zero(self):
+        out = exact_prefix_sums(np.array([3, -1, 4], dtype=np.int64))
+        assert out.dtype == np.int64 and out.tolist() == [0, 3, 2, 6]
+        # 2**62 + 2**62 overflows int64, so the sums fall back to Python ints.
+        big = exact_prefix_sums(np.array([2**62, 2**62], dtype=np.int64))
+        assert big.dtype == object and big.tolist() == [0, 2**62, 2**63]
 
     def test_empty(self):
         z = np.array([], dtype=np.int64)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from corrlab import (
     type1_sweep,
     type2,
 )
+from corrlab._accum import _CHUNK, _SAFE_PRODUCT_BITS, _bits, compensated_dot
 
 
 class TestType1:
@@ -135,6 +137,73 @@ class TestTermCounts:
             a, b = arr[:half], arr[x - half - 1 : x - 1][::-1]
             want = int(np.count_nonzero((a != 0) & (b != 0)))
             assert type2(t, x).terms == want
+
+
+def _python_sum(a, b):
+    """(sum of a[i]·b[i], number of i with both nonzero) in Python ints."""
+    pairs = list(zip(a.tolist(), b.tolist()))
+    return sum(x * y for x, y in pairs), sum(1 for x, y in pairs if x and y)
+
+
+def _int_values(n, bits, seed):
+    """n random signed ints below 2**bits, every 7th zero, the ends nonzero,
+    so a chunk walk that drops any entry changes the value or the count."""
+    rng = random.Random(seed)
+    vals = [rng.randrange(1, 2**bits) * rng.choice((1, -1)) for _ in range(n)]
+    for i in range(3, n - 3, 7):
+        vals[i] = 0
+    return np.array(vals, dtype=np.int64)
+
+
+class TestChunkBoundaries:
+    """type1 and type2 walk their operands in chunks of _CHUNK entries; sums
+    whose length sits on either side of a chunk boundary keep every term."""
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+    def test_shifted_view(self, n):
+        arr = _int_values(n + 3, 12, n)
+        t = FunctionTable.from_values("ints", arr, shift_headroom=3)
+        for l in (1, 3):
+            r = type1(t, n, l)
+            assert (r.value, r.terms) == _python_sum(arr[:n], arr[l : l + n]), l
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+    def test_reversed_view(self, n):
+        arr = _int_values(2 * n + 2, 12, n)
+        t = FunctionTable.from_values("ints", arr)
+        for x in (2 * n + 1, 2 * n + 2):  # both have n terms below x/2
+            r = type2(t, x)
+            b = arr[x - n - 1 : x - 1][::-1]
+            assert (r.value, r.terms) == _python_sum(arr[:n], b), x
+
+    def test_blocked_branch(self):
+        # 28-bit products of 56 bits fit int64 but not 2**16 of them summed,
+        # so every chunk takes the blocked int64 reduction.
+        n = 2 * _CHUNK + 5
+        arr = np.abs(_int_values(2 * n + 4, 28, 5))  # row totals near 2**71
+        bits = 2 * _bits(arr)
+        assert bits <= _SAFE_PRODUCT_BITS < bits + _CHUNK.bit_length()
+        t = FunctionTable.from_values("wide", arr, shift_headroom=2)
+        r = type1(t, n, 2)
+        assert (r.value, r.terms) == _python_sum(arr[:n], arr[2 : 2 + n])
+        r = type2(t, 2 * n + 1)
+        assert (r.value, r.terms) == _python_sum(arr[:n], arr[n : 2 * n][::-1])
+
+    def test_float_signed_zeros(self):
+        n = _CHUNK + 1
+        rng = random.Random(23)
+        vals = [rng.uniform(-3.0, 3.0) for _ in range(2 * n + 4)]
+        for i in range(0, len(vals), 5):
+            vals[i] = (0.0, -0.0)[i % 2]
+        t = FunctionTable.from_values("signed", vals, shift_headroom=2)
+        arr = np.asarray(vals)
+        cases = [
+            (type1(t, n, 2), arr[:n], arr[2 : 2 + n]),
+            (type2(t, 2 * n + 2), arr[:n], arr[n + 1 : 2 * n + 1][::-1]),
+        ]
+        for r, a, b in cases:
+            assert r.value == compensated_dot(a, b)
+            assert r.terms == int(np.count_nonzero((a != 0) & (b != 0)))
 
 
 class TestSweep:

@@ -8,6 +8,7 @@ agree — exactly for integer tables, to relative tolerance for real ones.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from corrlab import (
     VON_MANGOLDT,
     BudgetExceeded,
     FunctionKind,
+    FunctionTable,
     PayloadMode,
     RangeError,
     SequencePair,
@@ -32,6 +34,7 @@ from corrlab import (
     pair_sum_closed_form,
     prefix_sums,
 )
+from corrlab import identity
 
 
 class TestGeneralAreaIdentity:
@@ -140,6 +143,17 @@ class TestDoubleSumOracle:
         for x in (1, 2, 3, 10, 150):
             assert double_sum_lhs_oracle(t, x) == bilinear_rhs(t, x), x
 
+    @pytest.mark.parametrize("top", [2**20, 2**60], ids=["int64-rows", "exact-rows"])
+    def test_row_sums_match_python(self, top):
+        # Sums of 60 entries below 2**20 fit int64 and take the plain row
+        # sums; entries near 2**60 could overflow and take exact_sum.
+        rng = random.Random(top)
+        vals = [rng.randrange(-top, top) for _ in range(60)]
+        t = FunctionTable.from_values("rows", vals)
+        for x in (1, 2, 59, 60):
+            want = sum(vals[m] * vals[n] for n in range(x) for m in range(n))
+            assert double_sum_lhs_oracle(t, x) == want, x
+
     def test_budget_guard(self):
         t = build_table(CONSTANT_ONE, 2000)
         with pytest.raises(BudgetExceeded):
@@ -154,8 +168,25 @@ class TestPairSumClosedForm:
     def test_equals_bilinear_for_integer_kinds(self):
         for kind in (CONSTANT_ONE, MU_SQUARED, FunctionKind.divisor(3)):
             t = build_table(kind, 400)
+            ps = prefix_sums(t)
             for x in (1, 2, 7, 399, 400):
-                assert pair_sum_closed_form(t, x) == bilinear_rhs(t, x), (kind.label, x)
+                assert pair_sum_closed_form(t, x) == bilinear_rhs(t, x, ps), (
+                    kind.label,
+                    x,
+                )
+
+    def test_serves_exact_bilinear_without_prefix(self, monkeypatch):
+        # Exact bilinear_rhs without prefix sums is the closed form, while
+        # identity_check still sets the oracle against the prefix route.
+        def closed_form_called(table, x):
+            raise RuntimeError("closed form called")
+
+        monkeypatch.setattr(identity, "pair_sum_closed_form", closed_form_called)
+        t = build_table(MU_SQUARED, 300)
+        with pytest.raises(RuntimeError, match="closed form called"):
+            bilinear_rhs(t, 300)
+        res = identity_check(t, 300)
+        assert res.equal and res.lhs == res.rhs
 
     def test_float_kind_close(self):
         t = build_table(VON_MANGOLDT, 500)

@@ -155,9 +155,9 @@ def _cmd_sieve(args) -> int:
 def _cmd_identity_check(args) -> int:
     kind = FunctionKind.parse(args.kind)
     table = build_table(kind, args.x)
-    res = identity_check(table, args.x, args.tolerance, args.oracle_cap)
-    if args.exact and res.mode is not PayloadMode.EXACT:
+    if args.exact and not table.is_exact:
         raise ValueError(f"{kind.label} has no exact payload; drop --exact")
+    res = identity_check(table, args.x, args.tolerance, args.oracle_cap)
     if res.equal:
         print(f"lhs=rhs value={_num(res.lhs)} mode={res.mode.value}")
         return 0

@@ -151,10 +151,14 @@ def difference_histogram(s: Splitting) -> DifferenceHistogram:
     return DifferenceHistogram(n=s.n, counts=counts.astype(np.int64))
 
 
-def _reverse_mask(mask: int, n: int) -> int:
-    """Bit-reversed n-bit mask: its numeric order is the lexicographic order
-    of :attr:`Splitting.bits`."""
-    return int(format(mask, f"0{n}b")[::-1], 2)
+def _lex_less(a: int, b: int) -> bool:
+    """Whether mask a's :attr:`Splitting.bits` sorts before mask b's.
+
+    Bit i is character i, so the strings first differ at the lowest set bit
+    of a ^ b, and a's sorts first exactly when it has a 0 there.
+    """
+    d = a ^ b
+    return d != 0 and not a & d & -d
 
 
 def _hist_max_bitmask(mask_a: int, mask_b: int, n: int, abort_above: int) -> int:
@@ -256,10 +260,9 @@ def exact_Mn(n: int, cap: int = DEFAULT_EXACT_CAP) -> OverlapResult:
     """Optimal M(n) with a witness, by exhaustive search.
 
     Fixing 1 ∈ A loses nothing: swapping the halves reflects the histogram
-    (k to −k) and leaves its max unchanged.  Each splitting is also
-    equivalent to its reversal (i to n+1−i), so of every such pair only the
-    lexicographically smaller membership sequence is scored.  Ties at the
-    optimum keep the lexicographically smallest witness.
+    (k to −k) and leaves its max unchanged.  Every splitting with 1 ∈ A is
+    scored, and ties at the optimum keep the lexicographically smallest
+    membership sequence.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 2, got {n}")
@@ -272,26 +275,14 @@ def exact_Mn(n: int, cap: int = DEFAULT_EXACT_CAP) -> OverlapResult:
     half = n // 2
     best_m = n * n  # above any achievable max
     best_mask = 0
-    best_key = None
     for rest in combinations(range(2, n + 1), half - 1):
         mask_a = 1
         for e in rest:
             mask_a |= 1 << (e - 1)
-        # Reversal partner (swapped back into the 1-in-A convention when
-        # needed); skip the lexicographically larger of the pair.
-        if mask_a >> (n - 1) & 1:
-            partner = _reverse_mask(mask_a, n)
-        else:
-            partner = _reverse_mask(full ^ mask_a, n)
-        key = _reverse_mask(mask_a, n)
-        if _reverse_mask(partner, n) < key:
-            continue
-        mask_b = full ^ mask_a
-        m = _hist_max_bitmask(mask_a, mask_b, n, abort_above=best_m)
-        if m < best_m or (m == best_m and (best_key is None or key < best_key)):
+        m = _hist_max_bitmask(mask_a, full ^ mask_a, n, abort_above=best_m)
+        if m < best_m or (m == best_m and _lex_less(mask_a, best_mask)):
             best_m = m
             best_mask = mask_a
-            best_key = key
     witness = Splitting(n, best_mask)
     return _finalize(
         OverlapResult(n=n, m=best_m, witness=witness, method="exhaustive")
@@ -329,9 +320,11 @@ def heuristic_Mn(
     swap changes it by four shifted indicator slices (see
     :func:`_swap_counts`) and the indicators change in four cells.  Cooling
     is geometric from a temperature chosen so roughly half the uphill moves
-    seen in a short warmup would accept.  The achieved max is always an
-    upper bound on the true M(n); element 1 stays pinned in A, which costs
-    no generality.
+    seen in a short warmup would accept.  The witness is the best state
+    visited; ties at its max keep the lexicographically smallest membership
+    sequence, the order :func:`exact_Mn` uses.  The achieved max is always
+    an upper bound on the true M(n); element 1 stays pinned in A, which
+    costs no generality.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 2, got {n}")
@@ -356,7 +349,6 @@ def heuristic_Mn(
     mask = start.mask
     best_max = cur_max
     best_mask = mask
-    best_key = _reverse_mask(mask, n)
 
     def propose():
         i = rng.randrange(1, half)  # never moves the pinned element 1
@@ -394,15 +386,11 @@ def heuristic_Mn(
             alpha[a + n] = beta[b + n] = 0
             alpha[b + n] = beta[a + n] = 1
             mask ^= (1 << (a - 1)) | (1 << (b - 1))
-            if cur_max < best_max:
+            if cur_max < best_max or (
+                cur_max == best_max and _lex_less(mask, best_mask)
+            ):
                 best_max = cur_max
                 best_mask = mask
-                best_key = _reverse_mask(mask, n)
-            elif cur_max == best_max:
-                key = _reverse_mask(mask, n)
-                if key < best_key:
-                    best_mask = mask
-                    best_key = key
 
     witness = Splitting(n, best_mask)
     return _finalize(

@@ -41,6 +41,20 @@ class TestExitCodes:
         assert err.startswith("error: code=CAP")
         assert err.count("\n") == 1  # exactly one stderr line
 
+    def test_exact_on_real_kind_fails_before_the_oracle(self, capsys, monkeypatch):
+        # --exact on a real-valued kind is a usage error known from the table
+        # alone, so the quadratic oracle must never run.
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("identity_check ran")
+
+        monkeypatch.setattr(cli, "identity_check", no_oracle)
+        code, _, err = run(
+            capsys, "identity-check", "--kind", "vonmangoldt", "--x", "50", "--exact"
+        )
+        assert code == 1
+        assert err.startswith("error: code=USAGE")
+        assert err.count("\n") == 1
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
         assert run(capsys, "sieve", "--help")[0] == 0

@@ -7,6 +7,7 @@ bitmasks, no pruning.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -24,7 +25,7 @@ from corrlab import (
     exact_Mn,
     heuristic_Mn,
 )
-from corrlab.minoverlap import _reverse_mask, _swap_counts
+from corrlab.minoverlap import _lex_less, _swap_counts
 
 
 # -- clean-room oracle --------------------------------------------------------
@@ -171,10 +172,10 @@ class TestExactMn:
             r = exact_Mn(n)
             assert difference_histogram(r.witness).max_value == r.m
 
-    def test_witness_is_lex_smallest_with_first_element(self):
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    def test_witness_is_lex_smallest_with_first_element(self, n):
         # Among optimal splittings with 1 in A, the reported witness has the
         # lexicographically smallest membership string.
-        n = 8
         r = exact_Mn(n)
         best = [
             "1" + "".join("1" if v in set(rest) else "0" for v in range(2, n + 1))
@@ -201,16 +202,22 @@ class TestExactMn:
         with pytest.raises(ValueError):
             exact_Mn(5)
 
-    def test_reverse_mask_orders_like_bits(self):
-        # Witness ties are broken on this key, so its order must be the
+    def test_lex_less_orders_like_bits(self):
+        # Witness ties are broken on this compare, so its order must be the
         # lexicographic order of the membership strings.
         n = 10
         splits = [
             Splitting.from_a(n, a)
             for a in itertools.combinations(range(1, n + 1), n // 2)
         ]
-        by_key = sorted(splits, key=lambda s: _reverse_mask(s.mask, n))
-        assert [s.bits for s in by_key] == sorted(s.bits for s in splits)
+        assert len(splits) == 252
+
+        def cmp(s, t):
+            return -1 if _lex_less(s.mask, t.mask) else int(_lex_less(t.mask, s.mask))
+
+        by_cmp = sorted(splits, key=functools.cmp_to_key(cmp))
+        assert [s.bits for s in by_cmp] == sorted(s.bits for s in splits)
+        assert not any(_lex_less(s.mask, s.mask) for s in splits)
 
 
 # -- annealing ----------------------------------------------------------------
@@ -219,7 +226,11 @@ class TestExactMn:
 class TestHeuristicMn:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 14, 16])
     def test_matches_exact_at_small_n(self, n):
-        assert heuristic_Mn(n, seed=0).m == exact_Mn(n).m
+        # Both searches break ties toward the lexicographically smallest
+        # membership string, so the witnesses agree too.
+        h, e = heuristic_Mn(n, seed=0), exact_Mn(n)
+        assert h.m == e.m
+        assert h.witness.bits == e.witness.bits
 
     def test_deterministic_per_seed(self):
         a = heuristic_Mn(40, seed=123)

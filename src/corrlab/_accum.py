@@ -5,19 +5,24 @@ a dot product runs as one ``np.dot`` when a conservative bound proves the
 whole reduction fits in int64; otherwise the products are formed in int64
 when they fit and summed in rows short enough that no row total overflows;
 otherwise the wider operand is split into high/low digits until they do.
+The bound starts from the bit length of each operand's largest magnitude,
+which a table records once when it is built (bare arrays are measured once
+per call), so no kernel scans its chunks for it.
 
 Float paths bound the relative error of long reductions by combining
 blockwise ``numpy`` kernels with ``math.fsum`` across block totals.
 
 Long operands are walked in chunks of ``_CHUNK`` entries.  Two int64 chunks
 take 1 MiB, which fits in a core's L2 cache, so every pass a kernel makes
-over a chunk after the first (bit-width scans, products, the nonzero count
-of :func:`counted_dot`) reads from cache instead of from RAM.
+over a chunk after the first (products, nonzero masks, the term counts of
+:func:`counted_dot` and :func:`counted_shift_dots`) reads from cache instead
+of from RAM.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,9 +64,12 @@ def _sum_int64(p: np.ndarray, bits: int) -> int:
     return sum(totals) + int(p[full:].sum())
 
 
-def _dot_exact_core(a: np.ndarray, b: np.ndarray) -> int:
-    """Exact dot product of two int64 arrays as a Python int."""
-    ba, bb = _bits(a), _bits(b)
+def _dot_exact_core(a: np.ndarray, b: np.ndarray, ba: int, bb: int) -> int:
+    """Exact dot product of two int64 arrays as a Python int.
+
+    ``ba`` and ``bb`` bound the bit lengths of max|a| and max|b|; any bound
+    at least that large gives the same value.
+    """
     if ba == 0 or bb == 0:
         return 0
     if ba + bb + a.size.bit_length() <= _SAFE_PRODUCT_BITS:
@@ -70,18 +78,25 @@ def _dot_exact_core(a: np.ndarray, b: np.ndarray) -> int:
         return _sum_int64(a * b, ba + bb)
     # Split the wider operand into high/low digits and recurse: both digits
     # are strictly narrower, so ba + bb drops and the recursion terminates.
+    # The high digit of -(2**ba - 1) is -2**(ba - 20), which has ba - 19 bits.
     if ba < bb:
-        a, b = b, a
+        a, b, ba, bb = b, a, bb, ba
     hi = a >> _SPLIT_BITS
     lo = a & ((1 << _SPLIT_BITS) - 1)
-    return (_dot_exact_core(hi, b) << _SPLIT_BITS) + _dot_exact_core(lo, b)
+    return (
+        _dot_exact_core(hi, b, ba - _SPLIT_BITS + 1, bb) << _SPLIT_BITS
+    ) + _dot_exact_core(lo, b, _SPLIT_BITS, bb)
 
 
-def exact_dot(a: np.ndarray, b: np.ndarray) -> int:
+def exact_dot(
+    a: np.ndarray, b: np.ndarray, bits: tuple[int, int] | None = None
+) -> int:
     """Return ``sum(a[i] * b[i])`` exactly as a Python int.
 
     Args:
         a, b: equal-length integer arrays (any integer dtype).
+        bits: bounds on the bit lengths of max|a| and max|b|, when the
+            caller has recorded them; otherwise both are measured once here.
 
     Returns:
         The exact dot product, free of overflow.
@@ -92,23 +107,30 @@ def exact_dot(a: np.ndarray, b: np.ndarray) -> int:
         return int(np.dot(a.astype(object), b.astype(object))) if a.size else 0
     a64 = np.asarray(a, dtype=np.int64)
     b64 = np.asarray(b, dtype=np.int64)
+    ba, bb = bits if bits is not None else (_bits(a64), _bits(b64))
     total = 0
     for start in range(0, a64.size, _CHUNK):
         stop = start + _CHUNK
-        total += _dot_exact_core(a64[start:stop], b64[start:stop])
+        total += _dot_exact_core(a64[start:stop], b64[start:stop], ba, bb)
     return total
 
 
-def counted_dot(a: np.ndarray, b: np.ndarray, exact: bool) -> tuple[int | float, int]:
+def counted_dot(
+    a: np.ndarray, b: np.ndarray, bits: int | None
+) -> tuple[int | float, int]:
     """Dot product and count of the nonzero products, in one pass.
 
-    Each chunk of both operands is read from memory once and then counted
-    and multiplied while it is in cache.  The value equals
-    :func:`exact_dot` (``exact``) or :func:`compensated_dot`; the count is
-    the number of i with a[i] and b[i] both nonzero (-0.0 counts as zero).
+    For int64 operands ``bits`` bounds the bit length of every |a[i]| and
+    |b[i]| (a table records it once, so no chunk is scanned for it) and the
+    value is exact, as :func:`exact_dot`; ``None`` marks float operands,
+    whose value equals :func:`compensated_dot`.  Each chunk of both operands
+    is read from memory once and then counted and multiplied while it is in
+    cache.  The count is the number of i with a[i] and b[i] both nonzero
+    (-0.0 counts as zero).
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    exact = bits is not None
     dtype = np.int64 if exact else np.float64
     total, partials, terms = 0, [], 0
     for start in range(0, a.size, _CHUNK):
@@ -119,34 +141,73 @@ def counted_dot(a: np.ndarray, b: np.ndarray, exact: bool) -> tuple[int | float,
         y = np.ascontiguousarray(b[start:stop], dtype=dtype)
         terms += int(np.count_nonzero(np.logical_and(x, y)))
         if exact:
-            total += _dot_exact_core(x, y)
+            total += _dot_exact_core(x, y, bits, bits)
         else:
             partials += _block_dots(x, y)
     return (total if exact else math.fsum(partials)), terms
 
 
-def exact_sum(a: np.ndarray) -> int:
-    """Return ``sum(a)`` exactly as a Python int."""
+def counted_shift_dots(
+    values: np.ndarray, x: int, shifts: Sequence[int], bits: int | None
+) -> list[tuple[int | float, int]]:
+    """:func:`counted_dot` of ``values[:x]`` with ``values[l : l + x]`` for
+    every shift l, in input order, from one walk over the values.
+
+    Each window of ``_CHUNK`` entries, plus a max(shifts) tail, is read from
+    memory once; every shift's dot product and term count then read it from
+    cache, and all shifts share the window's one nonzero mask.  ``bits`` is
+    as for :func:`counted_dot`.
+    """
+    if not shifts:
+        return []
+    exact = bits is not None
+    values = np.ascontiguousarray(values, dtype=np.int64 if exact else np.float64)
+    reach = max(shifts)
+    totals = [0] * len(shifts)
+    partials: list[list[float]] = [[] for _ in shifts]
+    terms = [0] * len(shifts)
+    for start in range(0, x, _CHUNK):
+        n = min(_CHUNK, x - start)
+        window = values[start : start + n + reach]
+        nonzero = window != 0
+        head, head_nonzero = window[:n], nonzero[:n]
+        for i, l in enumerate(shifts):
+            terms[i] += int(np.count_nonzero(head_nonzero & nonzero[l : l + n]))
+            if exact:
+                totals[i] += _dot_exact_core(head, window[l : l + n], bits, bits)
+            else:
+                partials[i] += _block_dots(head, window[l : l + n])
+    if not exact:
+        totals = [math.fsum(p) for p in partials]
+    return list(zip(totals, terms))
+
+
+def exact_sum(a: np.ndarray, bits: int | None = None) -> int:
+    """Return ``sum(a)`` exactly as a Python int; ``bits`` as for
+    :func:`exact_dot`."""
     if a.dtype == object:
         return int(a.sum())
     a64 = np.asarray(a, dtype=np.int64)
-    return _sum_int64(a64, _bits(a64))
+    return _sum_int64(a64, _bits(a64) if bits is None else bits)
 
 
-def sums_fit_int64(a: np.ndarray) -> bool:
-    """Whether every sum of entries of the int64 array ``a`` provably fits."""
-    return _bits(a) + a.size.bit_length() <= _SAFE_PRODUCT_BITS
+def sums_fit_int64(a: np.ndarray, bits: int | None = None) -> bool:
+    """Whether every sum of entries of the int64 array ``a`` provably fits;
+    ``bits`` as for :func:`exact_dot`."""
+    bits = _bits(a) if bits is None else bits
+    return bits + a.size.bit_length() <= _SAFE_PRODUCT_BITS
 
 
-def exact_prefix_sums(a: np.ndarray) -> np.ndarray:
+def exact_prefix_sums(a: np.ndarray, bits: int | None = None) -> np.ndarray:
     """Exact S(0), S(1), ..., S(n) of an integer array, with S(0) = 0.
 
     Returns an int64 array, written in one pass, when every partial sum
     provably fits, otherwise an object-dtype array of Python ints.
+    ``bits`` is as for :func:`exact_dot`.
     """
     if a.dtype != object:
         a64 = np.asarray(a, dtype=np.int64)
-        if sums_fit_int64(a64):
+        if sums_fit_int64(a64, bits):
             out = np.empty(a64.size + 1, dtype=np.int64)
             out[0] = 0
             np.cumsum(a64, out=out[1:])
@@ -155,13 +216,13 @@ def exact_prefix_sums(a: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros(1, dtype=object), np.cumsum(a)])
 
 
-def exact_cumsum(a: np.ndarray) -> np.ndarray:
+def exact_cumsum(a: np.ndarray, bits: int | None = None) -> np.ndarray:
     """Exact running sums of an integer array.
 
     Returns an int64 array when every partial sum provably fits, otherwise
     an object-dtype array of Python ints.
     """
-    return exact_prefix_sums(a)[1:]
+    return exact_prefix_sums(a, bits)[1:]
 
 
 def compensated_dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -186,23 +247,56 @@ def _block_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
     ]
 
 
-def compensated_cumsum(a: np.ndarray) -> np.ndarray:
-    """Running sums of a float array with per-block compensation.
+def _carried_blocks(a: np.ndarray) -> Iterator[tuple[int, np.ndarray, float]]:
+    """Yield (start, block, offset) for each ``_FLOAT_BLOCK`` block of ``a``.
 
-    Within each block a plain ``np.cumsum`` runs; the offset carried into
-    each block is the correctly rounded sum of all previous block totals
-    (``math.fsum`` of them), keeping the relative error of every prefix far
-    below ordinary cumsum drift.
+    The offset is the correctly rounded sum of all earlier block totals (as
+    ``math.fsum`` of them).  Every finite double is a whole number of
+    2**-1074 units (the smallest subnormal), so the earlier block totals add
+    up exactly as an int, and int / int rounds correctly.
     """
-    af = np.ascontiguousarray(a, dtype=np.float64)
-    out = np.empty_like(af)
-    # Every finite double is a whole number of 2**-1074 units (the smallest
-    # subnormal), so the earlier block totals add up exactly as an int, and
-    # int / int rounds correctly.
     units, carried = 1 << 1074, 0
-    for s in range(0, af.size, _FLOAT_BLOCK):
-        block = af[s : s + _FLOAT_BLOCK]
-        out[s : s + block.size] = np.cumsum(block) + carried / units
+    for s in range(0, a.size, _FLOAT_BLOCK):
+        block = a[s : s + _FLOAT_BLOCK]
+        yield s, block, carried / units
         num, den = float(block.sum()).as_integer_ratio()
         carried += num * (units // den)
+
+
+def compensated_prefix_sums(a: np.ndarray) -> np.ndarray:
+    """S(0), S(1), ..., S(n) of a float array, with S(0) = 0, written into
+    the returned array with per-block compensation.
+
+    Within each block a plain ``np.cumsum`` runs; the block's offset (see
+    :func:`_carried_blocks`) is then added, keeping the relative error of
+    every prefix far below ordinary cumsum drift.
+    """
+    af = np.ascontiguousarray(a, dtype=np.float64)
+    out = np.empty(af.size + 1)
+    out[0] = 0.0
+    for s, block, offset in _carried_blocks(af):
+        run = out[1 + s : 1 + s + block.size]
+        np.cumsum(block, out=run)
+        run += offset
     return out
+
+
+def compensated_running_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``compensated_dot(a, c)`` where ``c`` is the running sums of ``b``
+    (``compensated_prefix_sums(b)[1:]``), with equal bits.
+
+    Each block's running sums are formed next to the dot that reads them,
+    so no running-sum array of the operands' length is written.
+    """
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    af = np.ascontiguousarray(a, dtype=np.float64)
+    bf = np.ascontiguousarray(b, dtype=np.float64)
+    scratch = np.empty(min(_FLOAT_BLOCK, bf.size))
+    partials = []
+    for s, block, offset in _carried_blocks(bf):
+        run = scratch[: block.size]
+        np.cumsum(block, out=run)
+        run += offset
+        partials.append(float(np.dot(af[s : s + block.size], run)))
+    return math.fsum(partials)

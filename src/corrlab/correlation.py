@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._accum import counted_dot
+from ._accum import counted_dot, counted_shift_dots
 from .errors import DegenerateSum, RangeError
 from .identity import bilinear_rhs
 from .tables import FunctionKind, FunctionTable
@@ -45,20 +45,11 @@ class CorrelationResult:
 
 
 def type1(table: FunctionTable, x: int, l: int) -> CorrelationResult:
-    """sum_{n<=x} f(n)·f(n+l); needs the table built with headroom >= l."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    if l < 1:
-        raise ValueError(f"shift must be >= 1, got {l}")
-    if x + l > table.span:
-        raise RangeError(
-            f"{table.kind.label}: shift {l} needs f up to {x + l}, but the "
-            f"table covers only 1..{table.span}; rebuild with more headroom"
-        )
-    value, terms = counted_dot(
-        table.values[:x], table.values[l : l + x], table.is_exact
-    )
-    return CorrelationResult(table.kind, x, l, value, terms)
+    """sum_{n<=x} f(n)·f(n+l); needs the table built with headroom >= l.
+
+    The one-shift case of :func:`type1_sweep`.
+    """
+    return type1_sweep(table, x, [l])[0]
 
 
 def type2(table: FunctionTable, x: int) -> CorrelationResult:
@@ -77,7 +68,9 @@ def type2(table: FunctionTable, x: int) -> CorrelationResult:
     half = (x - 1) // 2  # last n strictly below x/2
     # The second operand is f(x-n) for n = 1..half, a reversed view.
     value, terms = counted_dot(
-        table.values[:half], table.values[x - half - 1 : x - 1][::-1], table.is_exact
+        table.values[:half],
+        table.values[x - half - 1 : x - 1][::-1],
+        table._value_bits,
     )
     middle = None
     if x % 2 == 0:
@@ -89,20 +82,27 @@ def type2(table: FunctionTable, x: int) -> CorrelationResult:
 def type1_sweep(
     table: FunctionTable, x: int, shifts: Sequence[int]
 ) -> list[CorrelationResult]:
-    """type1 at each shift, in input order.
+    """type1 at each shift, in input order (duplicates kept), from one walk
+    over the table that every shift reads while it is in cache.
 
     All shifts are validated before any work so a bad entry is reported by
     name up front.
     """
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x}")
     for l in shifts:
         if l < 1:
             raise ValueError(f"shift must be >= 1, got {l}")
         if x + l > table.span:
             raise RangeError(
-                f"{table.kind.label}: shift {l} of sweep needs f up to {x + l}, "
-                f"but the table covers only 1..{table.span}"
+                f"{table.kind.label}: shift {l} needs f up to {x + l}, but the "
+                f"table covers only 1..{table.span}; rebuild with more headroom"
             )
-    return [type1(table, x, l) for l in shifts]
+    sums = counted_shift_dots(table.values, x, shifts, table._value_bits)
+    return [
+        CorrelationResult(table.kind, x, l, value, terms)
+        for l, (value, terms) in zip(shifts, sums)
+    ]
 
 
 def diagonal_ratio(table: FunctionTable, x: int) -> Fraction | float:

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accum import (
-    compensated_cumsum,
     compensated_dot,
+    compensated_prefix_sums,
+    compensated_running_dot,
     exact_cumsum,
     exact_dot,
     exact_sum,
@@ -117,8 +118,8 @@ def general_area_identity(
     h = pair.h.astype(np.float64)
     n = r.size
     lhs = compensated_dot(r[1:], h[1:])
-    S = np.concatenate([[0.0], compensated_cumsum(r)])
-    H = np.concatenate([[0.0], compensated_cumsum(h)])
+    S = compensated_prefix_sums(r)
+    H = compensated_prefix_sums(h)
     first = compensated_dot(h[1:], S[2:] + S[1:-1])
     second = compensated_dot(r[:-1], H[-1] - H[1:-1]) if n > 1 else 0.0
     rhs = first - 2.0 * second
@@ -157,24 +158,31 @@ def bilinear_rhs(
 def _bilinear_prefix(
     table: FunctionTable, x: int, prefix: PrefixSums | None = None
 ) -> int | float:
-    """The prefix route of :func:`bilinear_rhs`; runs its own cumulative pass
-    when no ``prefix`` is given."""
+    """The prefix route of :func:`bilinear_rhs`.
+
+    With no ``prefix``, exact payloads form their running sums first; float
+    payloads form each block's running sums next to the dot that reads
+    them, with the same bits as the route through :func:`prefix_sums`.
+    """
     _check_range(table, x)
     if x == 1:
         return 0 if table.is_exact else 0.0
     vals = table.values[1:x]  # f(n) for n = 2..x
+    bits = table._value_bits
     if prefix is not None:
         if prefix.kind != table.kind or prefix.mode != table.mode:
             raise ValueError("prefix sums were built from a different table")
         if prefix.limit < x - 1:
             raise RangeError(f"prefix sums cover only 0..{prefix.limit}, need {x - 1}")
         sums = prefix.sums[1:x]  # S(n-1) for n = 2..x
+        sum_bits = prefix._sum_bits
     elif table.is_exact:
-        sums = exact_cumsum(table.values[: x - 1])
+        sums = exact_cumsum(table.values[: x - 1], bits)
+        sum_bits = bits + (x - 1).bit_length()
     else:
-        sums = compensated_cumsum(table.values[: x - 1])
+        return compensated_running_dot(vals, table.values[: x - 1])
     if table.is_exact:
-        return exact_dot(vals, sums)
+        return exact_dot(vals, sums, (bits, sum_bits))
     return compensated_dot(vals, sums)
 
 
@@ -192,6 +200,7 @@ def double_sum_lhs_oracle(
             f"oracle is quadratic; x={x} exceeds its cap {oracle_cap}"
         )
     vals = table.values
+    f = vals[:x].tolist()  # f[n - 1] is f(n)
     if table.is_exact:
         # One bound for every row: each is a slice of f(1..x), so when no sum
         # of those entries can overflow, a plain int64 sum is exact.
@@ -200,10 +209,9 @@ def double_sum_lhs_oracle(
         for n in range(1, x):
             row = vals[n:x]  # f(n+1) + ... + f(x)
             inner = int(row.sum()) if fits else exact_sum(row)
-            total += int(vals[n - 1]) * inner
+            total += f[n - 1] * inner
         return total
-    rows = [float(vals[n - 1]) * float(np.sum(vals[n:x])) for n in range(1, x)]
-    return math.fsum(rows)
+    return math.fsum([f[n - 1] * vals[n:x].sum() for n in range(1, x)])
 
 
 def pair_sum_closed_form(table: FunctionTable, x: int) -> int | float:
@@ -211,8 +219,9 @@ def pair_sum_closed_form(table: FunctionTable, x: int) -> int | float:
     _check_range(table, x)
     vals = table.values[:x]
     if table.is_exact:
-        s = exact_sum(vals)
-        q = exact_dot(vals, vals)
+        bits = table._value_bits
+        s = exact_sum(vals, bits)
+        q = exact_dot(vals, vals, (bits, bits))
         num = s * s - q
         # s² and q have the same parity, so the pair count is integral.
         return num // 2

@@ -9,14 +9,14 @@ prefix sums are immutable and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
 import numpy as np
 
 from . import _sieves
-from ._accum import compensated_cumsum, exact_prefix_sums
+from ._accum import _bits, compensated_prefix_sums, exact_prefix_sums
 from .errors import RangeError, UnsupportedKind
 
 
@@ -159,6 +159,10 @@ class FunctionTable:
         Exact integer payload or float64 payload.
     values : numpy.ndarray
         Length ``limit + shift_headroom``; position i holds f(i + 1).
+        Stored as a read-only view that cannot be made writeable again.
+
+    Exact tables record the bit length of max|f| once, when they are built,
+    so the exact kernels need not scan the values for it.
     """
 
     kind: FunctionKind
@@ -166,6 +170,7 @@ class FunctionTable:
     shift_headroom: int
     mode: PayloadMode
     values: np.ndarray
+    _value_bits: int | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.limit < 1:
@@ -178,6 +183,12 @@ class FunctionTable:
                 f"limit {self.limit} + headroom {self.shift_headroom}"
             )
         self.values.setflags(write=False)
+        # A view of a read-only array cannot be made writeable, so the bound
+        # below cannot go stale.
+        object.__setattr__(self, "values", self.values.view())
+        object.__setattr__(
+            self, "_value_bits", _bits(self.values) if self.is_exact else None
+        )
 
     @property
     def span(self) -> int:
@@ -227,17 +238,27 @@ class FunctionTable:
 
 @dataclass(frozen=True, eq=False)
 class PrefixSums:
-    """Cumulative sums S(n) = sum of f(m) for m <= n, with S(0) = 0."""
+    """Cumulative sums S(n) = sum of f(m) for m <= n, with S(0) = 0.
+
+    ``_sum_bits`` bounds the bit length of every |S(n)| of exact sums (None
+    for float sums).  :func:`prefix_sums` records bits(f) + limit.bit_length()
+    without reading the sums; when it is not given for int64 sums, it is
+    measured once.
+    """
 
     kind: FunctionKind
     limit: int
     mode: PayloadMode
     sums: np.ndarray  # length limit + 1; position n holds S(n)
+    _sum_bits: int | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.sums.shape != (self.limit + 1,):
             raise ValueError("prefix array length must be limit + 1")
         self.sums.setflags(write=False)
+        object.__setattr__(self, "sums", self.sums.view())
+        if self._sum_bits is None and self.sums.dtype == np.int64:
+            object.__setattr__(self, "_sum_bits", _bits(self.sums))
 
     @property
     def is_exact(self) -> bool:
@@ -313,11 +334,12 @@ def prefix_sums(table: FunctionTable) -> PrefixSums:
     blockwise summation so long prefixes stay accurate to ~2^-40 relative.
     """
     head = table.values[: table.limit]
-    if table.is_exact:
-        sums = exact_prefix_sums(head)
-    else:
-        sums = np.concatenate([np.zeros(1), compensated_cumsum(head)])
-    return PrefixSums(kind=table.kind, limit=table.limit, mode=table.mode, sums=sums)
+    if not table.is_exact:
+        sums = compensated_prefix_sums(head)
+        return PrefixSums(table.kind, table.limit, table.mode, sums)
+    sums = exact_prefix_sums(head, table._value_bits)
+    bound = table._value_bits + table.limit.bit_length()
+    return PrefixSums(table.kind, table.limit, table.mode, sums, bound)
 
 
 def mean_value_reference(kind: FunctionKind, x: int) -> float:

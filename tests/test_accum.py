@@ -10,9 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrlab import EULER_PHI, FunctionTable, build_table, prefix_sums
 from corrlab._accum import (
-    compensated_cumsum,
+    _SPLIT_BITS,
+    _bits,
+    _dot_exact_core,
     compensated_dot,
+    compensated_prefix_sums,
     exact_cumsum,
     exact_dot,
     exact_prefix_sums,
@@ -107,6 +111,79 @@ class TestExactDot:
         assert exact_dot(a, b) == _python_dot(a, b)
 
 
+@st.composite
+def _bounded_operand(draw, n):
+    """n int64 values under one drawn bit width 1..63 and sign pattern, with
+    the extremes ±(2**w - 1) drawn often; returns (values, w)."""
+    w = draw(st.integers(min_value=1, max_value=63))
+    top = 2**w - 1
+    lo, hi = draw(st.sampled_from([(0, top), (-top, 0), (-top, top)]))
+    vals = draw(
+        st.lists(
+            st.one_of(st.integers(lo, hi), st.sampled_from([lo, hi])),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return np.array(vals, dtype=np.int64), w
+
+
+class TestBoundedExactDot:
+    """The exact kernels take recorded bit bounds instead of measuring them."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_python_oracle(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=40))
+        a, wa = data.draw(_bounded_operand(n))
+        b, wb = data.draw(_bounded_operand(n))
+        want = _python_dot(a, b)
+        assert _dot_exact_core(a, b, wa, wb) == want
+        assert exact_dot(a, b, (wa, wb)) == want
+        # A looser bound takes another branch and gives the same value.
+        assert _dot_exact_core(a, b, min(wa + 9, 64), min(wb + 9, 64)) == want
+
+    @pytest.mark.parametrize("w", [32, 40, 52, 63])
+    def test_negative_extreme_at_the_digit_split(self, w):
+        # -(2**w - 1) >> 20 is -2**(w - 20), which has w - 19 bits; the split
+        # must bound the high digit by that, for each sign of the partner.
+        top = 2**w - 1
+        a = np.array([-top, -top, top, -top, 0, -1] * 50, dtype=np.int64)
+        assert (-top >> _SPLIT_BITS) == -(2 ** (w - _SPLIT_BITS))
+        assert _bits(a) + _bits(a) > 62  # the split runs
+        for b in (a, -a, np.abs(a)):
+            assert _dot_exact_core(a, b, w, w) == _python_dot(a, b)
+            assert exact_dot(a, b) == _python_dot(a, b)
+
+    def test_int64_extremes(self):
+        m = 2**63 - 1
+        a = np.array([m, -m, m, 1, -1, 0], dtype=np.int64)
+        b = np.array([m, m, -m, -m, m, m], dtype=np.int64)
+        assert _dot_exact_core(a, b, 63, 63) == _python_dot(a, b)
+        assert exact_sum(a, 63) == sum(int(v) for v in a)
+
+    def test_table_values_stay_read_only(self):
+        # The bound is recorded once, so the values must never change under it.
+        for t in (
+            build_table(EULER_PHI, 1000, 3),
+            FunctionTable.from_values("wide", [2**40, -(2**41), 5]),
+        ):
+            assert t._value_bits == _bits(t.values)
+            assert not t.values.flags.writeable
+            with pytest.raises(ValueError):
+                t.values[0] = 2**50
+            with pytest.raises(ValueError):
+                t.values.setflags(write=True)
+            ps = prefix_sums(t)
+            assert ps._sum_bits >= _bits(ps.sums)
+            with pytest.raises(ValueError):
+                ps.sums.setflags(write=True)
+
+    def test_float_tables_record_no_bound(self):
+        t = FunctionTable.from_values("floats", [0.5, -1.5, 2.0])
+        assert t._value_bits is None and prefix_sums(t)._sum_bits is None
+
+
 class TestExactSumAndCumsum:
     def test_sum_matches_python(self):
         rng = random.Random(11)
@@ -154,7 +231,7 @@ class TestCompensated:
     def test_cumsum_final_entry_matches_fsum(self):
         rng = random.Random(5)
         vals = [rng.uniform(-1e8, 1e8) for _ in range(10_000)]
-        out = compensated_cumsum(np.array(vals))
+        out = compensated_prefix_sums(np.array(vals))[1:]
         assert out[-1] == pytest.approx(math.fsum(vals), rel=1e-12)
         # Each entry is a prefix sum of the input.
         assert out[42] == pytest.approx(math.fsum(vals[:43]), rel=1e-12)
@@ -165,7 +242,7 @@ class TestCompensated:
         rng = np.random.default_rng(19)
         block = 4096
         vals = rng.standard_normal(60 * block) * 10.0 ** rng.integers(-300, 300, 60 * block)
-        out = compensated_cumsum(vals)
+        out = compensated_prefix_sums(vals)[1:]
         totals = []
         for s in range(0, vals.size, block):
             chunk = vals[s : s + block]
@@ -176,4 +253,4 @@ class TestCompensated:
     def test_empty(self):
         z = np.array([], dtype=float)
         assert compensated_dot(z, z) == 0.0
-        assert compensated_cumsum(z).size == 0
+        assert compensated_prefix_sums(z).tolist() == [0.0]

@@ -24,7 +24,7 @@ from corrlab import (
     type1_sweep,
     type2,
 )
-from corrlab._accum import _CHUNK, _SAFE_PRODUCT_BITS, _bits, compensated_dot
+from corrlab._accum import _CHUNK, _SAFE_PRODUCT_BITS, compensated_dot
 
 
 class TestType1:
@@ -145,6 +145,21 @@ def _python_sum(a, b):
     return sum(x * y for x, y in pairs), sum(1 for x, y in pairs if x and y)
 
 
+def _direct(t):
+    """Whether a whole chunk of t's products takes one int64 np.dot."""
+    return 2 * t._value_bits + _CHUNK.bit_length() <= _SAFE_PRODUCT_BITS
+
+
+def _blocked(t):
+    """Whether t's products fit int64 but a chunk of them summed may not."""
+    return 2 * t._value_bits <= _SAFE_PRODUCT_BITS and not _direct(t)
+
+
+def _split(t):
+    """Whether t's products overflow int64, so the wider operand is split."""
+    return 2 * t._value_bits > _SAFE_PRODUCT_BITS
+
+
 def _int_values(n, bits, seed):
     """n random signed ints below 2**bits, every 7th zero, the ends nonzero,
     so a chunk walk that drops any entry changes the value or the count."""
@@ -163,6 +178,7 @@ class TestChunkBoundaries:
     def test_shifted_view(self, n):
         arr = _int_values(n + 3, 12, n)
         t = FunctionTable.from_values("ints", arr, shift_headroom=3)
+        assert _direct(t)
         for l in (1, 3):
             r = type1(t, n, l)
             assert (r.value, r.terms) == _python_sum(arr[:n], arr[l : l + n]), l
@@ -171,6 +187,7 @@ class TestChunkBoundaries:
     def test_reversed_view(self, n):
         arr = _int_values(2 * n + 2, 12, n)
         t = FunctionTable.from_values("ints", arr)
+        assert _direct(t)
         for x in (2 * n + 1, 2 * n + 2):  # both have n terms below x/2
             r = type2(t, x)
             b = arr[x - n - 1 : x - 1][::-1]
@@ -181,9 +198,21 @@ class TestChunkBoundaries:
         # so every chunk takes the blocked int64 reduction.
         n = 2 * _CHUNK + 5
         arr = np.abs(_int_values(2 * n + 4, 28, 5))  # row totals near 2**71
-        bits = 2 * _bits(arr)
-        assert bits <= _SAFE_PRODUCT_BITS < bits + _CHUNK.bit_length()
         t = FunctionTable.from_values("wide", arr, shift_headroom=2)
+        assert _blocked(t)
+        r = type1(t, n, 2)
+        assert (r.value, r.terms) == _python_sum(arr[:n], arr[2 : 2 + n])
+        r = type2(t, 2 * n + 1)
+        assert (r.value, r.terms) == _python_sum(arr[:n], arr[n : 2 * n][::-1])
+
+    def test_digit_split_branch(self):
+        # 40-bit values have 80-bit products, so every chunk splits the wider
+        # operand into digits; -(2**40 - 1) puts the high digit at its bound.
+        n = _CHUNK + 3
+        arr = _int_values(2 * n + 4, 40, 9)
+        arr[::11] = -(2**40 - 1)
+        t = FunctionTable.from_values("split", arr, shift_headroom=2)
+        assert _split(t)
         r = type1(t, n, 2)
         assert (r.value, r.terms) == _python_sum(arr[:n], arr[2 : 2 + n])
         r = type2(t, 2 * n + 1)
@@ -202,6 +231,61 @@ class TestChunkBoundaries:
             (type2(t, 2 * n + 2), arr[:n], arr[n + 1 : 2 * n + 1][::-1]),
         ]
         for r, a, b in cases:
+            assert r.value == compensated_dot(a, b)
+            assert r.terms == int(np.count_nonzero((a != 0) & (b != 0)))
+
+
+class TestSweepWalk:
+    """type1_sweep walks the table once in _CHUNK windows plus a max(shifts)
+    tail; every shift reads each window, and all share its nonzero mask."""
+
+    @pytest.mark.parametrize("x", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+    @pytest.mark.parametrize("bits", [12, 28, 40], ids=["direct", "blocked", "split"])
+    def test_reads_cross_the_tail(self, x, bits):
+        headroom = 64
+        arr = _int_values(x + headroom, bits, x + bits)
+        t = FunctionTable.from_values("ints", arr, shift_headroom=headroom)
+        assert {12: _direct, 28: _blocked, 40: _split}[bits](t)
+        shifts = [1, headroom]  # the shortest shift and the full headroom
+        swept = type1_sweep(t, x, shifts)
+        for r, l in zip(swept, shifts):
+            assert (r.x, r.shift) == (x, l)
+            assert (r.value, r.terms) == _python_sum(arr[:x], arr[l : l + x]), l
+
+    def test_unsorted_and_duplicate_shifts(self):
+        x = _CHUNK + 5
+        arr = _int_values(x + 9, 28, 3)
+        t = FunctionTable.from_values("ints", arr, shift_headroom=9)
+        assert _blocked(t)
+        shifts = [7, 1, 9, 7, 2, 1]
+        swept = type1_sweep(t, x, shifts)
+        assert [r.shift for r in swept] == shifts
+        for r, l in zip(swept, shifts):
+            single = type1(t, x, l)
+            assert (r.value, r.terms) == (single.value, single.terms)
+            assert (r.value, r.terms) == _python_sum(arr[:x], arr[l : l + x]), l
+
+    def test_bound_covers_the_headroom(self):
+        # The largest values sit past the limit, where only shifted reads
+        # go; a bound over 1..limit alone would send their 83-bit products
+        # to the direct int64 np.dot.
+        arr = np.array([2**20] * 6 + [2**62 - 1, -(2**62)], dtype=np.int64)
+        t = FunctionTable.from_values("top", arr, shift_headroom=2)
+        assert t._value_bits == 63
+        for r, l in zip(type1_sweep(t, 6, [1, 2]), (1, 2)):
+            assert (r.value, r.terms) == _python_sum(arr[:6], arr[l : l + 6]), l
+
+    def test_float_signed_zeros_share_the_mask(self):
+        x = _CHUNK + 1
+        rng = random.Random(29)
+        vals = [rng.uniform(-3.0, 3.0) for _ in range(x + 4)]
+        for i in range(0, len(vals), 3):
+            vals[i] = (0.0, -0.0)[i % 2]
+        t = FunctionTable.from_values("signed", vals, shift_headroom=4)
+        arr = np.asarray(vals)
+        shifts = [4, 1, 3, 1]
+        for r, l in zip(type1_sweep(t, x, shifts), shifts):
+            a, b = arr[:x], arr[l : l + x]
             assert r.value == compensated_dot(a, b)
             assert r.terms == int(np.count_nonzero((a != 0) & (b != 0)))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from corrlab import (
     prefix_sums,
 )
 from corrlab import identity
+from corrlab._accum import _FLOAT_BLOCK, compensated_dot, compensated_prefix_sums
 
 
 class TestGeneralAreaIdentity:
@@ -154,6 +156,14 @@ class TestDoubleSumOracle:
             want = sum(vals[m] * vals[n] for n in range(x) for m in range(n))
             assert double_sum_lhs_oracle(t, x) == want, x
 
+    def test_float_rows_match_numpy_row_sums(self):
+        # Each row is f(n) times the numpy sum of f(n+1..x), combined by fsum.
+        t = build_table(VON_MANGOLDT, 400)
+        v = t.values
+        for x in (1, 2, 399, 400):
+            rows = [float(v[n - 1]) * float(np.sum(v[n:x])) for n in range(1, x)]
+            assert double_sum_lhs_oracle(t, x).hex() == math.fsum(rows).hex(), x
+
     def test_budget_guard(self):
         t = build_table(CONSTANT_ONE, 2000)
         with pytest.raises(BudgetExceeded):
@@ -218,3 +228,42 @@ class TestIdentityCheck:
         res = identity_check(t, 1)
         assert res.lhs == res.rhs == 0
         assert res.equal
+
+
+def _peak_bytes(fn):
+    """Peak bytes traced while fn runs (numpy reports its data buffers)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFloatPrefixRoute:
+    """Float payloads form each block's running sums next to the dot that
+    reads them, with the bits of the route through the running-sum array."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [1, 2, _FLOAT_BLOCK, _FLOAT_BLOCK + 1, _FLOAT_BLOCK + 2, 3 * _FLOAT_BLOCK + 1],
+    )
+    def test_bits_equal_the_running_sum_array_route(self, x):
+        t = build_table(VON_MANGOLDT, 3 * _FLOAT_BLOCK + 1)
+        sums = compensated_prefix_sums(t.values[: x - 1])[1:]
+        want = compensated_dot(t.values[1:x], sums).hex()
+        assert bilinear_rhs(t, x).hex() == want
+        assert bilinear_rhs(t, x, prefix_sums(t)).hex() == want
+
+
+class TestMemory:
+    """tracemalloc guards on the O(x) routes' temporaries."""
+
+    def test_float_bilinear_writes_no_running_sum_array(self):
+        t = build_table(VON_MANGOLDT, 10**5)
+        assert _peak_bytes(lambda: bilinear_rhs(t, 10**5)) < t.values.nbytes // 8
+
+    def test_float_prefix_sums_peak_at_one_output_array(self):
+        t = build_table(VON_MANGOLDT, 10**5)
+        out_bytes = 8 * (t.limit + 1)
+        assert _peak_bytes(lambda: prefix_sums(t)) < 1.1 * out_bytes

@@ -216,15 +216,6 @@ def exact_prefix_sums(a: np.ndarray, bits: int | None = None) -> np.ndarray:
     return np.concatenate([np.zeros(1, dtype=object), np.cumsum(a)])
 
 
-def exact_cumsum(a: np.ndarray, bits: int | None = None) -> np.ndarray:
-    """Exact running sums of an integer array.
-
-    Returns an int64 array when every partial sum provably fits, otherwise
-    an object-dtype array of Python ints.
-    """
-    return exact_prefix_sums(a, bits)[1:]
-
-
 def compensated_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Dot product of float arrays with compensated cross-block summation.
 

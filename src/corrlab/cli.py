@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -54,13 +53,6 @@ def _payload_mode(text: str) -> PayloadMode | None:
     if text == "auto":
         return None
     return PayloadMode.EXACT if text == "exact" else PayloadMode.FLOATING
-
-
-def _num(v) -> str:
-    """Uniform numeric rendering for stdout (matches the CSV rendering)."""
-    if isinstance(v, Fraction):
-        return format_cell(float(v))
-    return format_cell(v)
 
 
 def build_parser() -> _Parser:
@@ -147,7 +139,7 @@ def _cmd_sieve(args) -> int:
         print(f"wrote {args.out}")
     print(
         f"kind={kind.label} limit={table.limit} headroom={table.shift_headroom} "
-        f"mode={table.mode.value} sum={_num(ps.s(table.limit))}"
+        f"mode={table.mode.value} sum={format_cell(ps.s(table.limit))}"
     )
     return 0
 
@@ -159,11 +151,11 @@ def _cmd_identity_check(args) -> int:
         raise ValueError(f"{kind.label} has no exact payload; drop --exact")
     res = identity_check(table, args.x, args.tolerance, args.oracle_cap)
     if res.equal:
-        print(f"lhs=rhs value={_num(res.lhs)} mode={res.mode.value}")
+        print(f"lhs=rhs value={format_cell(res.lhs)} mode={res.mode.value}")
         return 0
     print(
-        f"error: code=IDENTITY lhs={_num(res.lhs)} rhs={_num(res.rhs)} differ "
-        f"(mode={res.mode.value})",
+        f"error: code=IDENTITY lhs={format_cell(res.lhs)} "
+        f"rhs={format_cell(res.rhs)} differ (mode={res.mode.value})",
         file=sys.stderr,
     )
     return 2
@@ -181,10 +173,10 @@ def _cmd_correlate(args) -> int:
     for r in results:
         line = (
             f"kind={r.kind.label} x={r.x} shift={r.shift_label} "
-            f"value={_num(r.value)} terms={r.terms}"
+            f"value={format_cell(r.value)} terms={r.terms}"
         )
         if r.middle_term is not None:
-            line += f" middle_term={_num(r.middle_term)}"
+            line += f" middle_term={format_cell(r.middle_term)}"
         print(line)
     if args.out:
         rows = tuple(
@@ -203,9 +195,9 @@ def _cmd_constants(args) -> int:
     d = consts.d_of_x(table, args.x)
     print(
         f"kind={kind.label} x={args.x} shift={args.shift} "
-        f"c_min={_num(est.c_min)} c_max={_num(est.c_max)} "
-        f"local_density={_num(est.local_density)} "
-        f"d_of_x={_num(d)} diagonal_ratio={_num(ratio)}"
+        f"c_min={format_cell(est.c_min)} c_max={format_cell(est.c_max)} "
+        f"local_density={format_cell(est.local_density)} "
+        f"d_of_x={format_cell(d)} diagonal_ratio={format_cell(ratio)}"
     )
     if args.out:
         header = (
@@ -303,11 +295,7 @@ def _cmd_claims(args) -> int:
         claims=tuple(_claims_from_arg(args.claims)),
         out_dir=args.out_dir,
     )
-    try:
-        cfg = cfg.validate()
-    except ConfigError as exc:
-        raise ValueError(str(exc))
-    for c in _claims_step(cfg, not args.no_svg).claims:
+    for c in _claims_step(cfg.validate(), not args.no_svg).claims:
         tally = {v: c.verdicts.count(v) for v in ("consistent", "violated", "vacuous")}
         print(
             f"{c.claim}: consistent={tally['consistent']} "
@@ -360,8 +348,6 @@ def _cmd_report(args) -> int:
         )
     except FileNotFoundError:
         raise ValueError(f"config file not found: {args.config}")
-    except ConfigError as exc:
-        raise ValueError(str(exc))
 
     # Correlation sweep over the configured kinds, shifts, and grid.
     corr_rows = []
@@ -400,7 +386,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         print(f"error: code=USAGE {exc}", file=sys.stderr)
         return 1
     except CorrlabError as exc:

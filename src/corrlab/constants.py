@@ -19,10 +19,12 @@ fails.  A verdict is a desk-scale observation, never a proof.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Sequence
 
 from .correlation import type1, type2
@@ -72,8 +74,8 @@ def _require_positive(table: FunctionTable, x: int, l: int, t1) -> None:
         )
 
 
-def _nonzero_bilinear(table: FunctionTable, x: int):
-    b = bilinear_rhs(table, x)
+def _nonzero(table: FunctionTable, x: int, b):
+    """The bilinear form ``b`` of ``table`` at x, refused when it vanishes."""
     if b == 0:
         raise DegenerateSum(
             f"{table.kind.label}: bilinear form vanishes at x={x}"
@@ -99,7 +101,7 @@ def local_density(table: FunctionTable, x: int, l: int) -> Fraction | float:
     Satisfies c_min · local_density · x = 1 exactly wherever both sides are
     defined.
     """
-    b = _nonzero_bilinear(table, x)
+    b = _nonzero(table, x, bilinear_rhs(table, x))
     return _ratio(table, type1(table, x, l).value, b)
 
 
@@ -109,7 +111,7 @@ def d_of_x(table: FunctionTable, x: int) -> Fraction | float:
     Complements the off-diagonal split exactly: d_of_x/x plus the
     off-diagonal ratio equals 1.
     """
-    b = _nonzero_bilinear(table, x)
+    b = _nonzero(table, x, bilinear_rhs(table, x))
     return _ratio(table, x * type2(table, x).value, b)
 
 
@@ -120,7 +122,7 @@ def density_estimate(table: FunctionTable, x: int, l: int) -> DensityEstimate:
     """
     t1 = type1(table, x, l).value
     _require_positive(table, x, l, t1)
-    b = _nonzero_bilinear(table, x)
+    b = _nonzero(table, x, bilinear_rhs(table, x))
     c = _ratio(table, b, x * t1)
     d_ratio = None
     if x >= 2:
@@ -372,10 +374,12 @@ def _shift(spec: _ClaimSpec, settings: ClaimSettings) -> int:
 def _score(
     spec: _ClaimSpec,
     table: FunctionTable,
+    form: Callable[[int], int | float],
     grid: tuple[int, ...],
     settings: ClaimSettings,
 ) -> ClaimReport:
-    """Score one claim over the grid from a table of its kind."""
+    """Score one claim over the grid from a table of its kind; ``form(x)``
+    is the table's bilinear form at x."""
     shift = _shift(spec, settings)
     computed: list[float] = []
     bound: list[float] = []
@@ -397,9 +401,9 @@ def _score(
         if not spec.uses_constant:
             const = float("nan")
         elif spec.correlation == "type1":
-            const = float(_ratio(table, bilinear_rhs(table, x), x * value))
+            const = float(_ratio(table, form(x), x * value))
         else:
-            const = float(_ratio(table, x * value, _nonzero_bilinear(table, x)))
+            const = float(_ratio(table, x * value, _nonzero(table, x, form(x))))
         constant.append(const if spec.uses_constant else None)
 
         b = spec.bound_fn(float(x), const, settings)
@@ -421,6 +425,20 @@ def _score(
     )
 
 
+def _score_kind(
+    kind: FunctionKind,
+    specs: Sequence[_ClaimSpec],
+    grid: tuple[int, ...],
+    settings: ClaimSettings,
+) -> list[ClaimReport]:
+    """Score claims of one kind from one table, sieved at max(grid) with the
+    largest shift they read; they share one bilinear form per x."""
+    headroom = max(_shift(spec, settings) for spec in specs)
+    table = build_table(kind, max(grid), shift_headroom=headroom)
+    form = functools.cache(functools.partial(bilinear_rhs, table))
+    return [_score(spec, table, form, grid, settings) for spec in specs]
+
+
 def _cpu_count() -> int:
     """CPUs this process may run on (``taskset`` narrows it)."""
     try:
@@ -436,12 +454,13 @@ def evaluate_claims(
 ) -> list[ClaimReport]:
     """Evaluate several claims; order follows the input list.
 
-    Claims are grouped by function kind, and each kind's table is sieved
-    once, at max(grid) with the largest shift its claims read, then shared
-    by all of them.  A value at n does not depend on the table's span, so
-    every report equals :func:`evaluate_claim` of that id alone.  The kinds
-    run on one thread each, up to the CPUs the process may use; outputs do
-    not depend on the number of threads.
+    Claims are grouped by function kind, and each kind is one
+    :func:`_score_kind` task: its table is sieved once and shared, with each
+    x's bilinear form, by all of the kind's claims.  A value at n does not
+    depend on the table's span, so every report equals
+    :func:`evaluate_claim` of that id alone.  The tasks run on one thread
+    each, up to the CPUs the process may use; outputs do not depend on the
+    number of threads.
     """
     specs = []
     for cid in claim_ids:
@@ -458,25 +477,17 @@ def evaluate_claims(
     if grid[0] < 3:
         raise ValueError("x-grid entries must be >= 3")
 
-    by_kind: dict[FunctionKind, list[int]] = {}
-    for i, spec in enumerate(specs):
-        by_kind.setdefault(spec.kind_fn(settings), []).append(i)
-
-    def run_kind(kind: FunctionKind) -> list[ClaimReport]:
-        members = [specs[i] for i in by_kind[kind]]
-        headroom = max(_shift(spec, settings) for spec in members)
-        table = build_table(kind, max(grid), shift_headroom=headroom)
-        return [_score(spec, table, grid, settings) for spec in members]
-
+    by_kind: dict[FunctionKind, list[_ClaimSpec]] = {}
+    for spec in specs:
+        by_kind.setdefault(spec.kind_fn(settings), []).append(spec)
     if not by_kind:
         return []
     # Imported here so that runs which score no claims never load it.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=min(len(by_kind), _cpu_count())) as pool:
-        scored = list(pool.map(run_kind, by_kind))
-
-    reports: dict[int, ClaimReport] = {}
-    for indices, kind_reports in zip(by_kind.values(), scored):
-        reports.update(zip(indices, kind_reports))
-    return [reports[i] for i in range(len(specs))]
+        scored = pool.map(
+            _score_kind, by_kind, by_kind.values(), repeat(grid), repeat(settings)
+        )
+        reports = {r.claim: r for kind_reports in scored for r in kind_reports}
+    return [reports[spec.claim_id] for spec in specs]

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from ._accum import counted_dot, counted_shift_dots
 from .errors import DegenerateSum, RangeError
-from .identity import bilinear_rhs
+from .identity import _check_range, bilinear_rhs
 from .tables import FunctionKind, FunctionTable
 
 
@@ -61,10 +61,7 @@ def type2(table: FunctionTable, x: int) -> CorrelationResult:
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
-    if x > table.limit:
-        raise RangeError(
-            f"{table.kind.label}: x={x} exceeds table limit {table.limit}"
-        )
+    _check_range(table, x)
     half = (x - 1) // 2  # last n strictly below x/2
     # The second operand is f(x-n) for n = 1..half, a reversed view.
     value, terms = counted_dot(

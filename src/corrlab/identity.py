@@ -21,8 +21,8 @@ from ._accum import (
     compensated_dot,
     compensated_prefix_sums,
     compensated_running_dot,
-    exact_cumsum,
     exact_dot,
+    exact_prefix_sums,
     exact_sum,
     sums_fit_int64,
 )
@@ -177,7 +177,7 @@ def _bilinear_prefix(
         sums = prefix.sums[1:x]  # S(n-1) for n = 2..x
         sum_bits = prefix._sum_bits
     elif table.is_exact:
-        sums = exact_cumsum(table.values[: x - 1], bits)
+        sums = exact_prefix_sums(table.values[: x - 1], bits)[1:]
         sum_bits = bits + (x - 1).bit_length()
     else:
         return compensated_running_dot(vals, table.values[: x - 1])

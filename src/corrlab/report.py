@@ -32,6 +32,9 @@ MINOVERLAP_HEADER = ("n", "method", "M", "witness", "bound", "bound_value", "ok"
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+#: Chart size in pixels, and ticks per axis.
+_WIDTH, _HEIGHT, _TICKS = 800, 500, 5
+
 
 @dataclass(frozen=True)
 class ResultTable:
@@ -180,10 +183,10 @@ def write_json(path: str | Path, bundle: ReportBundle) -> None:
     atomic_write(path, render_json(bundle))
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
 
 def render_line_chart(
@@ -192,8 +195,6 @@ def render_line_chart(
     *,
     log_x: bool = False,
     log_y: bool = False,
-    width: int = 800,
-    height: int = 500,
 ) -> str:
     """A standalone SVG 1.1 document with one polyline per series.
 
@@ -201,6 +202,7 @@ def render_line_chart(
     otherwise the axis silently stays linear, which keeps the renderer
     total on arbitrary data.
     """
+    width, height = _WIDTH, _HEIGHT
     margin = 64.0
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin

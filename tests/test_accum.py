@@ -17,7 +17,6 @@ from corrlab._accum import (
     _dot_exact_core,
     compensated_dot,
     compensated_prefix_sums,
-    exact_cumsum,
     exact_dot,
     exact_prefix_sums,
     exact_sum,
@@ -194,8 +193,8 @@ class TestExactSumAndCumsum:
         rng = random.Random(13)
         vals = [rng.randrange(-(2**40), 2**40) for _ in range(500)]
         a = np.array(vals, dtype=np.int64)
-        out = exact_cumsum(a)
-        running, expect = 0, []
+        out = exact_prefix_sums(a)
+        running, expect = 0, [0]
         for v in vals:
             running += v
             expect.append(running)
@@ -204,8 +203,8 @@ class TestExactSumAndCumsum:
     def test_cumsum_overflow_falls_back(self):
         # Partial sums exceed int64; the result must still be exact.
         a = np.full(10, 2**62, dtype=object)
-        out = exact_cumsum(np.array(a))
-        assert int(out[-1]) == 10 * 2**62
+        out = exact_prefix_sums(np.array(a))
+        assert int(out[0]) == 0 and int(out[-1]) == 10 * 2**62
 
     def test_prefix_sums_lead_with_zero(self):
         out = exact_prefix_sums(np.array([3, -1, 4], dtype=np.int64))
@@ -217,7 +216,7 @@ class TestExactSumAndCumsum:
     def test_empty(self):
         z = np.array([], dtype=np.int64)
         assert exact_sum(z) == 0
-        assert exact_cumsum(z).size == 0
+        assert exact_prefix_sums(z).tolist() == [0]
 
 
 class TestCompensated:

@@ -273,6 +273,33 @@ class TestRunPlan:
                 CLAIM_HEADER, alone.rows()
             )
 
+    def test_each_bilinear_form_is_formed_once(self, monkeypatch):
+        formed = []
+
+        def counting(table, x, prefix=None):
+            formed.append((table.kind.label, x))
+            return bilinear_rhs(table, x, prefix)
+
+        monkeypatch.setattr(constants, "bilinear_rhs", counting)
+        evaluate_claims(ALL_CLAIMS, (100, 999, 3000))
+        assert formed and len(formed) == len(set(formed))
+        assert all(label != LIOUVILLE.label for label, _ in formed)
+
+    def test_scores_each_kind_through_the_module_scorer(self, monkeypatch):
+        calls = []
+        real = constants._score_kind
+
+        def recording(kind, specs, grid, settings):
+            calls.append((kind, tuple(spec.claim_id for spec in specs)))
+            return real(kind, specs, grid, settings)
+
+        monkeypatch.setattr(constants, "_score_kind", recording)
+        grid = (100, 999, 3000)
+        reports = evaluate_claims(ALL_CLAIMS, grid)
+        assert len(calls) == len({kind for kind, _ in calls}) == 7
+        assert sorted(cid for _, ids in calls for cid in ids) == sorted(ALL_CLAIMS)
+        assert [r.claim for r in reports] == list(ALL_CLAIMS)
+
 
 class TestMeasuredConstantConsistency:
     def test_twin_bound_tracks_measured_constant(self):

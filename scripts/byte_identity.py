@@ -25,6 +25,9 @@ INVOCATIONS = (
     ["report", "--grid", "1000,10000,100000", "--out-dir", "o"],
     ["correlate", "--kind", "vonmangoldt", "--x", "100000", "--shift", "2,4,6",
      "--type2", "--out", "corr.csv"],
+    # An exact kind at an even x, so type-2's middle term is an integer.
+    ["correlate", "--kind", "divisor", "--x", "100000", "--shift", "1,2",
+     "--type2", "--out", "corr.csv"],
     ["constants", "--kind", "eulerphi", "--x", "100000", "--shift", "2",
      "--out", "const.csv"],
     ["constants", "--kind", "vonmangoldt", "--x", "100000", "--shift", "2",

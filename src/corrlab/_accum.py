@@ -1,13 +1,17 @@
 """Exact and compensated accumulation primitives.
 
-Integer paths return Python ints and are exact regardless of magnitude:
-a dot product runs as one ``np.dot`` when a conservative bound proves the
-whole reduction fits in int64; otherwise the products are formed in int64
-when they fit and summed in rows short enough that no row total overflows;
-otherwise the wider operand is split into high/low digits until they do.
-The bound starts from the bit length of each operand's largest magnitude,
-which a table records once when it is built (bare arrays are measured once
-per call), so no kernel scans its chunks for it.
+Integer paths return Python ints and are exact regardless of magnitude.
+Operands whose dtype casts to int64 without loss (every signed integer
+dtype, uint8 to uint32, and bool) take the int64 path; uint64 operands and
+object arrays of Python ints are summed as Python ints, so no entry ever
+wraps.  On the int64 path a dot product runs as one ``np.dot`` when a
+conservative bound proves the whole reduction fits in int64; otherwise the
+products are formed in int64 when they fit and summed in rows short enough
+that no row total overflows; otherwise the wider operand is split into
+high/low digits until they do.  The bound starts from the bit length of
+each operand's largest magnitude, which a table records once when it is
+built (bare arrays are measured once per call), so no kernel scans its
+chunks for it.
 
 Float paths bound the relative error of long reductions by combining
 blockwise ``numpy`` kernels with ``math.fsum`` across block totals.
@@ -48,6 +52,14 @@ def _bits(a: np.ndarray) -> int:
     if a.size == 0:
         return 0
     return max(int(a.max()), -int(a.min())).bit_length()
+
+
+def _exact_operand(a: np.ndarray) -> np.ndarray:
+    """``a`` as int64 when its dtype casts there without loss, otherwise as
+    Python ints (object dtype)."""
+    if np.can_cast(a.dtype, np.int64):
+        return np.asarray(a, dtype=np.int64)
+    return a.astype(object, copy=False)
 
 
 def _sum_int64(p: np.ndarray, bits: int) -> int:
@@ -103,15 +115,14 @@ def exact_dot(
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    a, b = _exact_operand(a), _exact_operand(b)
     if a.dtype == object or b.dtype == object:
         return int(np.dot(a.astype(object), b.astype(object))) if a.size else 0
-    a64 = np.asarray(a, dtype=np.int64)
-    b64 = np.asarray(b, dtype=np.int64)
-    ba, bb = bits if bits is not None else (_bits(a64), _bits(b64))
+    ba, bb = bits if bits is not None else (_bits(a), _bits(b))
     total = 0
-    for start in range(0, a64.size, _CHUNK):
+    for start in range(0, a.size, _CHUNK):
         stop = start + _CHUNK
-        total += _dot_exact_core(a64[start:stop], b64[start:stop], ba, bb)
+        total += _dot_exact_core(a[start:stop], b[start:stop], ba, bb)
     return total
 
 
@@ -185,10 +196,10 @@ def counted_shift_dots(
 def exact_sum(a: np.ndarray, bits: int | None = None) -> int:
     """Return ``sum(a)`` exactly as a Python int; ``bits`` as for
     :func:`exact_dot`."""
+    a = _exact_operand(a)
     if a.dtype == object:
         return int(a.sum())
-    a64 = np.asarray(a, dtype=np.int64)
-    return _sum_int64(a64, _bits(a64) if bits is None else bits)
+    return _sum_int64(a, _bits(a) if bits is None else bits)
 
 
 def sums_fit_int64(a: np.ndarray, bits: int | None = None) -> bool:
@@ -205,15 +216,13 @@ def exact_prefix_sums(a: np.ndarray, bits: int | None = None) -> np.ndarray:
     provably fits, otherwise an object-dtype array of Python ints.
     ``bits`` is as for :func:`exact_dot`.
     """
-    if a.dtype != object:
-        a64 = np.asarray(a, dtype=np.int64)
-        if sums_fit_int64(a64, bits):
-            out = np.empty(a64.size + 1, dtype=np.int64)
-            out[0] = 0
-            np.cumsum(a64, out=out[1:])
-            return out
-        a = a64.astype(object)
-    return np.concatenate([np.zeros(1, dtype=object), np.cumsum(a)])
+    a = _exact_operand(a)
+    if a.dtype != object and sums_fit_int64(a, bits):
+        out = np.empty(a.size + 1, dtype=np.int64)
+        out[0] = 0
+        np.cumsum(a, out=out[1:])
+        return out
+    return np.concatenate([np.zeros(1, dtype=object), np.cumsum(a, dtype=object)])
 
 
 def compensated_dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -127,6 +127,16 @@ def build_parser() -> _Parser:
 # -- subcommand bodies -------------------------------------------------------
 
 
+def _key_values(header: tuple, row: tuple) -> str:
+    """One stdout line, ``key=value`` per field, cells as in the CSV."""
+    return " ".join(f"{k}={format_cell(v)}" for k, v in zip(header, row))
+
+
+def _correlation_row(r) -> tuple:
+    """The :data:`CORRELATION_HEADER` row of one correlation result."""
+    return (r.kind.label, r.x, r.shift_label, r.value, r.terms)
+
+
 def _cmd_sieve(args) -> int:
     kind = FunctionKind.parse(args.kind)
     table = build_table(
@@ -170,18 +180,13 @@ def _cmd_correlate(args) -> int:
     results = [type2(table, args.x)] if args.type2 else []
     if shifts:
         results.extend(type1_sweep(table, args.x, list(shifts)))
-    for r in results:
-        line = (
-            f"kind={r.kind.label} x={r.x} shift={r.shift_label} "
-            f"value={format_cell(r.value)} terms={r.terms}"
-        )
+    rows = tuple(_correlation_row(r) for r in results)
+    for r, row in zip(results, rows):
+        line = _key_values(CORRELATION_HEADER, row)
         if r.middle_term is not None:
             line += f" middle_term={format_cell(r.middle_term)}"
         print(line)
     if args.out:
-        rows = tuple(
-            (r.kind.label, r.x, r.shift_label, r.value, r.terms) for r in results
-        )
         write_csv(args.out, ResultTable("correlations", CORRELATION_HEADER, rows))
         print(f"wrote {args.out}")
     return 0
@@ -192,34 +197,19 @@ def _cmd_constants(args) -> int:
     table = build_table(kind, args.x, args.shift)
     est = consts.density_estimate(table, args.x, args.shift)
     ratio = diagonal_ratio(table, args.x)
-    d = consts.d_of_x(table, args.x)
-    print(
-        f"kind={kind.label} x={args.x} shift={args.shift} "
-        f"c_min={format_cell(est.c_min)} c_max={format_cell(est.c_max)} "
-        f"local_density={format_cell(est.local_density)} "
-        f"d_of_x={format_cell(d)} diagonal_ratio={format_cell(ratio)}"
-    )
+    fields = {
+        "kind": kind.label,
+        "x": args.x,
+        "shift": args.shift,
+        "c_min": est.c_min,
+        "c_max": est.c_max,
+        "local_density": est.local_density,
+        "d_of_x": consts.d_of_x(table, args.x),
+        "diagonal_ratio": ratio,
+    }
+    header, row = tuple(fields), tuple(fields.values())
+    print(_key_values(header, row))
     if args.out:
-        header = (
-            "kind",
-            "x",
-            "shift",
-            "c_min",
-            "c_max",
-            "local_density",
-            "d_of_x",
-            "diagonal_ratio",
-        )
-        row = (
-            kind.label,
-            args.x,
-            args.shift,
-            est.c_min,
-            est.c_max,
-            est.local_density,
-            d,
-            ratio,
-        )
         write_csv(args.out, ResultTable("constants", header, (row,)))
         print(f"wrote {args.out}")
     return 0
@@ -361,8 +351,7 @@ def _cmd_report(args) -> int:
             mode=_payload_mode(cfg.payload_mode),
         )
         for x in cfg.x_grid:
-            for r in type1_sweep(table, x, list(cfg.shifts)):
-                corr_rows.append((r.kind.label, r.x, r.shift_label, r.value, r.terms))
+            corr_rows += map(_correlation_row, type1_sweep(table, x, list(cfg.shifts)))
     corr_table = ResultTable("correlations", CORRELATION_HEADER, tuple(corr_rows))
     bundle = _claims_step(cfg, not args.no_svg, extra_tables=(corr_table,))
     out = Path(cfg.out_dir)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Sequence
 
-from .correlation import type1, type2
+from .correlation import _ratio, type1, type2
 from .errors import DegenerateSum, UnknownClaim, ZeroCorrelation
 from .identity import bilinear_rhs
 from .tables import (
@@ -57,13 +57,6 @@ class DensityEstimate:
     c_max: Fraction | float
     local_density: Fraction | float
     d_ratio: Fraction | float | None = None
-
-
-def _ratio(table: FunctionTable, num, den) -> Fraction | float:
-    """num / den: an exact Fraction for exact payloads, else a float."""
-    if table.is_exact:
-        return Fraction(num, den)
-    return num / den
 
 
 def _require_positive(table: FunctionTable, x: int, l: int, t1) -> None:

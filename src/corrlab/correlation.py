@@ -44,6 +44,13 @@ class CorrelationResult:
         return "type2" if self.shift is None else str(self.shift)
 
 
+def _ratio(table: FunctionTable, num, den) -> Fraction | float:
+    """num / den: an exact Fraction for exact payloads, else a float."""
+    if table.is_exact:
+        return Fraction(num, den)
+    return num / den
+
+
 def type1(table: FunctionTable, x: int, l: int) -> CorrelationResult:
     """sum_{n<=x} f(n)·f(n+l); needs the table built with headroom >= l.
 
@@ -115,7 +122,4 @@ def diagonal_ratio(table: FunctionTable, x: int) -> Fraction | float:
             f"{table.kind.label}: bilinear form vanishes at x={x}; "
             "the diagonal split is undefined"
         )
-    t2 = type2(table, x).value
-    if table.is_exact:
-        return Fraction(b - t2, b)
-    return 1.0 - t2 / b
+    return 1 - _ratio(table, type2(table, x).value, b)

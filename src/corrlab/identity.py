@@ -27,7 +27,7 @@ from ._accum import (
     sums_fit_int64,
 )
 from .errors import BudgetExceeded, RangeError
-from .tables import FunctionTable, PayloadMode, PrefixSums
+from .tables import FunctionTable, PayloadMode, PrefixSums, _as_values, _integer_valued
 
 #: Largest x the quadratic-cost oracle will accept by default.
 DEFAULT_ORACLE_CAP = 100_000
@@ -44,8 +44,7 @@ class SequencePair:
     h: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.r)
-        h = np.asarray(self.h)
+        r, h = _as_values(self.r), _as_values(self.h)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "h", h)
         if r.ndim != 1 or h.ndim != 1:
@@ -54,11 +53,8 @@ class SequencePair:
             raise ValueError(f"length mismatch: {r.size} vs {h.size}")
         if r.size < 1:
             raise ValueError("sequences must have length >= 1")
-        for arr in (r, h):
-            if np.issubdtype(arr.dtype, np.floating) and not np.all(
-                np.isfinite(arr)
-            ):
-                raise ValueError("sequence values must be finite")
+        if any(a.dtype.kind == "f" and not np.isfinite(a).all() for a in (r, h)):
+            raise ValueError("sequence values must be finite")
 
     @property
     def n(self) -> int:
@@ -66,9 +62,8 @@ class SequencePair:
 
     @property
     def exact(self) -> bool:
-        return np.issubdtype(self.r.dtype, np.integer) and np.issubdtype(
-            self.h.dtype, np.integer
-        )
+        """Both sequences hold integers (of any magnitude)."""
+        return _integer_valued(self.r) and _integer_valued(self.h)
 
 
 @dataclass(frozen=True)
@@ -82,8 +77,13 @@ class IdentityCheckResult:
     tolerance: float | None = None
 
 
-def _relative_equal(lhs: float, rhs: float, tolerance: float) -> bool:
-    return abs(lhs - rhs) <= tolerance * max(1.0, abs(lhs), abs(rhs))
+def _verdict(lhs, rhs, exact: bool, tolerance: float) -> IdentityCheckResult:
+    """Exact sides must be equal; float sides within ``tolerance``, relative
+    to the larger side (or absolute below 1)."""
+    if exact:
+        return IdentityCheckResult(lhs, rhs, lhs == rhs, PayloadMode.EXACT)
+    equal = abs(lhs - rhs) <= tolerance * max(1.0, abs(lhs), abs(rhs))
+    return IdentityCheckResult(lhs, rhs, equal, PayloadMode.FLOATING, tolerance)
 
 
 def general_area_identity(
@@ -97,35 +97,20 @@ def general_area_identity(
 
     where S and H are the running sums of r and h.  The right side costs
     O(n) via one prefix pass per sequence.  Holds for every finite pair;
-    no constraint relating the sequences' magnitudes is required.
+    no constraint relating the sequences' magnitudes is required.  Integer
+    pairs run the exact kernels, any other pair the compensated float ones;
+    at n = 1 every dot product is empty and both sides are 0.
     """
-    if pair.exact:
-        r = pair.r.tolist()
-        h = pair.h.tolist()
-        n = len(r)
-        lhs = sum(r[j] * h[j] for j in range(1, n))
-        S = [0] * (n + 1)
-        H = [0] * (n + 1)
-        for j in range(1, n + 1):
-            S[j] = S[j - 1] + r[j - 1]
-            H[j] = H[j - 1] + h[j - 1]
-        first = sum(h[j - 1] * (S[j] + S[j - 1]) for j in range(2, n + 1))
-        second = sum(r[j - 1] * (H[n] - H[j]) for j in range(1, n))
-        rhs = first - 2 * second
-        return IdentityCheckResult(lhs, rhs, lhs == rhs, PayloadMode.EXACT)
-
-    r = pair.r.astype(np.float64)
-    h = pair.h.astype(np.float64)
-    n = r.size
-    lhs = compensated_dot(r[1:], h[1:])
-    S = compensated_prefix_sums(r)
-    H = compensated_prefix_sums(h)
-    first = compensated_dot(h[1:], S[2:] + S[1:-1])
-    second = compensated_dot(r[:-1], H[-1] - H[1:-1]) if n > 1 else 0.0
-    rhs = first - 2.0 * second
-    return IdentityCheckResult(
-        lhs, rhs, _relative_equal(lhs, rhs, tolerance), PayloadMode.FLOATING, tolerance
-    )
+    r, h, exact = pair.r, pair.h, pair.exact
+    if exact:
+        dot, prefix = exact_dot, exact_prefix_sums
+    else:
+        dot, prefix = compensated_dot, compensated_prefix_sums
+        r, h = r.astype(np.float64), h.astype(np.float64)
+    lhs = dot(r[1:], h[1:])
+    S, H = prefix(r), prefix(h)
+    rhs = dot(h[1:], S[2:] + S[1:-1]) - 2 * dot(r[:-1], H[-1] - H[1:-1])
+    return _verdict(lhs, rhs, exact, tolerance)
 
 
 def _check_range(table: FunctionTable, x: int) -> None:
@@ -165,8 +150,6 @@ def _bilinear_prefix(
     them, with the same bits as the route through :func:`prefix_sums`.
     """
     _check_range(table, x)
-    if x == 1:
-        return 0 if table.is_exact else 0.0
     vals = table.values[1:x]  # f(n) for n = 2..x
     bits = table._value_bits
     if prefix is not None:
@@ -240,8 +223,4 @@ def identity_check(
     of the bilinear form (never the closed form, which is a third route)."""
     lhs = double_sum_lhs_oracle(table, x, oracle_cap)
     rhs = _bilinear_prefix(table, x)
-    if table.is_exact:
-        return IdentityCheckResult(lhs, rhs, lhs == rhs, PayloadMode.EXACT)
-    return IdentityCheckResult(
-        lhs, rhs, _relative_equal(lhs, rhs, tolerance), PayloadMode.FLOATING, tolerance
-    )
+    return _verdict(lhs, rhs, table.is_exact, tolerance)

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _sieves
-from ._accum import _bits, compensated_prefix_sums, exact_prefix_sums
+from ._accum import _bits, _exact_operand, compensated_prefix_sums, exact_prefix_sums
 from .errors import RangeError, UnsupportedKind
 
 
@@ -25,6 +25,22 @@ class PayloadMode(Enum):
 
     EXACT = "exact"
     FLOATING = "floating"
+
+
+def _as_values(values) -> np.ndarray:
+    """``np.asarray(values)``, except that Python ints past int64, which
+    numpy would store as floats, stay Python ints in an object array."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f" and all(isinstance(v, int) for v in values):
+        return np.array(values, dtype=object)
+    return arr
+
+
+def _integer_valued(a: np.ndarray) -> bool:
+    """Whether ``a`` has an integer dtype or holds only Python ints."""
+    if a.dtype == object:
+        return all(isinstance(v, int) for v in a.tolist())
+    return np.issubdtype(a.dtype, np.integer)
 
 
 class Variant(Enum):
@@ -217,16 +233,23 @@ class FunctionTable:
         shift_headroom: int = 0,
         mode: PayloadMode | None = None,
     ) -> "FunctionTable":
-        """Wrap explicit values as a custom table (index 0 holds f(1))."""
-        arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
+        """Wrap explicit values as a custom table (index 0 holds f(1)).
+
+        Integers make an exact int64 table.  uint64 and object values pass
+        through Python ints, so one that int64 cannot hold is refused with a
+        ValueError instead of wrapping.
+        """
+        arr = _as_values(values if isinstance(values, np.ndarray) else list(values))
+        integral = _integer_valued(arr)
         if mode is None:
-            mode = (
-                PayloadMode.EXACT
-                if np.issubdtype(arr.dtype, np.integer)
-                else PayloadMode.FLOATING
-            )
-        dtype = np.int64 if mode is PayloadMode.EXACT else np.float64
-        arr = arr.astype(dtype, copy=True)
+            mode = PayloadMode.EXACT if integral else PayloadMode.FLOATING
+        if mode is PayloadMode.EXACT and integral:
+            try:
+                arr = _exact_operand(arr).astype(np.int64)
+            except OverflowError:
+                raise ValueError(f"{name}: integer values must fit int64") from None
+        else:
+            arr = arr.astype(np.int64 if mode is PayloadMode.EXACT else np.float64)
         return cls(
             kind=FunctionKind.custom(name),
             limit=arr.size - shift_headroom,

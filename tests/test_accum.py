@@ -219,6 +219,35 @@ class TestExactSumAndCumsum:
         assert exact_prefix_sums(z).tolist() == [0]
 
 
+class TestUnsignedOperands:
+    """uint64 entries past int64 run on Python ints instead of wrapping."""
+
+    VALUES = [2**63, 2**64 - 1, 0, 1, 2**63 + 5, 7]
+
+    def _pair(self):
+        a = np.array(self.VALUES, dtype=np.uint64)
+        return a, a[::-1].copy()
+
+    def test_sum(self):
+        a, _ = self._pair()
+        assert exact_sum(a) == sum(self.VALUES)
+
+    def test_dot(self):
+        a, b = self._pair()
+        assert exact_dot(a, b) == _python_dot(self.VALUES, self.VALUES[::-1])
+        # One uint64 operand next to an int64 one.
+        c = np.arange(len(self.VALUES), dtype=np.int64) - 3
+        assert exact_dot(a, c) == _python_dot(self.VALUES, c.tolist())
+
+    def test_prefix_sums(self):
+        a, _ = self._pair()
+        running, expect = 0, [0]
+        for v in self.VALUES:
+            running += v
+            expect.append(running)
+        assert exact_prefix_sums(a).tolist() == expect
+
+
 class TestCompensated:
     def test_dot_is_close_to_fsum(self):
         rng = random.Random(3)

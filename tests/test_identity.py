@@ -83,6 +83,26 @@ class TestGeneralAreaIdentity:
         assert res.equal
         assert res.lhs == res.rhs
 
+    def test_python_ints_past_int64_stay_exact(self):
+        res = general_area_identity(SequencePair([2**70, 1, 3], [1, 2**70, 5]))
+        assert res.mode is PayloadMode.EXACT
+        assert res.lhs == res.rhs == 1180591620717411303439
+        assert res.equal
+
+    @pytest.mark.parametrize("as_array", [True, False], ids=["uint64", "list"])
+    def test_unsigned_magnitudes_stay_exact(self, as_array):
+        # Entries in [2**63, 2**64): a uint64 array, or a list that numpy
+        # alone would store as floats.
+        r = [2**63, 2**64 - 1, 3, 2**63 + 1]
+        h = [1, 2**63, 2**64 - 2, 5]
+        lhs = sum(a * b for a, b in zip(r[1:], h[1:]))
+        if as_array:
+            r, h = np.array(r, dtype=np.uint64), np.array(h, dtype=np.uint64)
+        res = general_area_identity(SequencePair(r, h))
+        assert res.mode is PayloadMode.EXACT
+        assert res.lhs == res.rhs == lhs
+        assert res.equal
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             SequencePair([1, 2], [1])

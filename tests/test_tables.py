@@ -306,6 +306,27 @@ class TestBuildTable:
         assert t.value(3) == 4
         assert t.limit == 5
 
+    def test_from_values_refuses_uint64_past_int64(self):
+        # 2**63 would wrap to -2**63 in an int64 table.
+        with pytest.raises(ValueError, match="int64"):
+            FunctionTable.from_values("big", np.array([2**63, 1], dtype=np.uint64))
+
+    @pytest.mark.parametrize("top", [2**63, 2**70], ids=["2^63", "2^70"])
+    def test_from_values_refuses_python_ints_past_int64(self, top):
+        # numpy would store these lists as floats (or objects); neither may
+        # become a floating table.
+        with pytest.raises(ValueError, match="int64"):
+            FunctionTable.from_values("big", [top, 1])
+
+    def test_from_values_keeps_integers_that_fit(self):
+        for values in (
+            np.array([2**63 - 1, 0, 3], dtype=np.uint64),
+            np.array([2**62, -5, 3], dtype=object),
+        ):
+            t = FunctionTable.from_values("fits", values)
+            assert t.mode is PayloadMode.EXACT and t.values.dtype == np.int64
+            assert t.values.tolist() == [int(v) for v in values]
+
 
 class TestPrefixSums:
     @pytest.mark.parametrize(

@@ -34,6 +34,11 @@ INVOCATIONS = (
      "--out", "const.csv"],
     ["sieve", "--kind", "divisor3", "--limit", "2000", "--headroom", "2",
      "--out", "table.csv"],
+    # Spans of 600064 cross the factor pass's window edges at 2^18 and 2^19.
+    ["sieve", "--kind", "eulerphi", "--limit", "600000", "--headroom", "64",
+     "--out", "table.csv"],
+    ["sieve", "--kind", "divisor3", "--limit", "600000", "--headroom", "64",
+     "--out", "table.csv"],
     ["identity-check", "--kind", "eulerphi", "--x", "3000", "--exact"],
     ["identity-check", "--kind", "vonmangoldt", "--x", "3000"],
     ["identity-check", "--kind", "vonmangoldt", "--x", "3000", "--exact"],

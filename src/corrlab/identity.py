@@ -36,6 +36,13 @@ DEFAULT_ORACLE_CAP = 100_000
 DEFAULT_TOLERANCE = 1e-9
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """No NaN or infinity in ``a``; Python ints of any size are finite."""
+    if a.dtype == object:
+        return all(math.isfinite(v) for v in a.tolist() if isinstance(v, float))
+    return a.dtype.kind != "f" or bool(np.isfinite(a).all())
+
+
 @dataclass(frozen=True, eq=False)
 class SequencePair:
     """Two equal-length finite sequences r_1..r_n and h_1..h_n."""
@@ -53,7 +60,7 @@ class SequencePair:
             raise ValueError(f"length mismatch: {r.size} vs {h.size}")
         if r.size < 1:
             raise ValueError("sequences must have length >= 1")
-        if any(a.dtype.kind == "f" and not np.isfinite(a).all() for a in (r, h)):
+        if not (_all_finite(r) and _all_finite(h)):
             raise ValueError("sequence values must be finite")
 
     @property

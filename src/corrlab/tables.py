@@ -237,7 +237,9 @@ class FunctionTable:
 
         Integers make an exact int64 table.  uint64 and object values pass
         through Python ints, so one that int64 cannot hold is refused with a
-        ValueError instead of wrapping.
+        ValueError instead of wrapping.  Other values make an exact table only
+        if each is a finite integer within int64; otherwise mode EXACT is
+        refused with a ValueError instead of truncating.
         """
         arr = _as_values(values if isinstance(values, np.ndarray) else list(values))
         integral = _integer_valued(arr)
@@ -248,8 +250,14 @@ class FunctionTable:
                 arr = _exact_operand(arr).astype(np.int64)
             except OverflowError:
                 raise ValueError(f"{name}: integer values must fit int64") from None
+        elif mode is PayloadMode.EXACT:
+            arr = arr.astype(np.float64)
+            # NaN fails the first test and ±inf the second.
+            if not ((np.trunc(arr) == arr) & (np.abs(arr) < 2.0**63)).all():
+                raise ValueError(f"{name}: exact values must be integers in int64")
+            arr = arr.astype(np.int64)
         else:
-            arr = arr.astype(np.int64 if mode is PayloadMode.EXACT else np.float64)
+            arr = arr.astype(np.float64)
         return cls(
             kind=FunctionKind.custom(name),
             limit=arr.size - shift_headroom,

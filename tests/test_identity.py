@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 import tracemalloc
 
 import numpy as np
@@ -35,7 +36,7 @@ from corrlab import (
     pair_sum_closed_form,
     prefix_sums,
 )
-from corrlab import identity
+from corrlab import _sieves, identity
 from corrlab._accum import _FLOAT_BLOCK, compensated_dot, compensated_prefix_sums
 
 
@@ -114,6 +115,19 @@ class TestGeneralAreaIdentity:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             SequencePair([1.0, float("nan")], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64(-math.inf)])
+    def test_rejects_non_finite_in_object_arrays(self, bad):
+        r = np.array([1, bad, 2], dtype=object)
+        with pytest.raises(ValueError, match="sequence values must be finite"):
+            SequencePair(r, [1, 2, 3])
+        with pytest.raises(ValueError, match="sequence values must be finite"):
+            SequencePair([1, 2, 3], r)
+
+    def test_object_arrays_of_huge_ints_are_finite(self):
+        # Past float range, so finiteness is never asked of float(v).
+        r = np.array([2**2000, 1], dtype=object)
+        assert SequencePair(r, [1, 2]).exact
 
 
 class TestBilinearRhs:
@@ -278,6 +292,18 @@ class TestFloatPrefixRoute:
 
 class TestMemory:
     """tracemalloc guards on the O(x) routes' temporaries."""
+
+    @pytest.mark.parametrize(
+        "sieve",
+        [_sieves.euler_phi, partial(_sieves.divisor_tower, order=3), _sieves.big_omega],
+        ids=["eulerphi", "divisor3", "bigomega"],
+    )
+    def test_factor_pass_peaks_at_its_output_plus_two_windows(self, sieve):
+        # A pass with full-length temporaries peaks at 2.5x its output here;
+        # a window's temporaries take about 13 bytes per entry.
+        span = 3 * _sieves._WINDOW + 5
+        window_bytes = 8 * _sieves._WINDOW
+        assert _peak_bytes(lambda: sieve(span)) < 8 * span + 2 * window_bytes
 
     def test_float_bilinear_writes_no_running_sum_array(self):
         t = build_table(VON_MANGOLDT, 10**5)

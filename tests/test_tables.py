@@ -31,6 +31,7 @@ from corrlab import (
     mean_value_reference,
     prefix_sums,
 )
+from corrlab import _sieves
 
 # -- elementary oracles -------------------------------------------------------
 
@@ -238,24 +239,57 @@ def value_oracle(kind: FunctionKind, n: int, exps: dict[int, int]):
     return math.prod(math.comb(e + l - 1, l - 1) for e in exps.values())
 
 
+# The kinds that come from the windowed factor pass.
+FACTOR_KINDS = [
+    EULER_PHI,
+    LIOUVILLE,
+    BIG_OMEGA,
+    MASTER_UPSILON,
+    FunctionKind.divisor(2),
+    FunctionKind.divisor(3),
+]
+
+
+@functools.cache
+def oracle_values(kind: FunctionKind) -> list:
+    return [
+        value_oracle(kind, n, exps)
+        for n, exps in enumerate(exponent_oracle(ORACLE_SPAN), start=1)
+    ]
+
+
+def assert_matches_oracle(kind: FunctionKind, spans) -> None:
+    want = oracle_values(kind)
+    for span in spans:
+        got = np.asarray(build_table(kind, span).values)
+        if kind == MASTER_UPSILON:
+            # np.log in the kernel, math.log here.
+            np.testing.assert_array_max_ulp(got, np.array(want[:span]), 1)
+        else:
+            assert got.tolist() == want[:span], span
+
+
 class TestFactorSieve:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
     def test_matches_factorisation_oracle(self, kind):
         # Spans 1..40 cover span < 4 and the spans p^2 where a prime first
         # reaches the pass; 100_003 covers n = 2^16, the largest exponent.
-        want = [
-            value_oracle(kind, n, exps)
-            for n, exps in enumerate(exponent_oracle(ORACLE_SPAN), start=1)
-        ]
-        tables = [build_table(kind, s) for s in range(1, 41)]
-        tables.append(build_table(kind, 100_000, 3))
-        for t in tables:
-            got = np.asarray(t.values)
-            if kind == MASTER_UPSILON:
-                # np.log in the kernel, math.log here.
-                np.testing.assert_array_max_ulp(got, np.array(want[: t.span]), 1)
-            else:
-                assert got.tolist() == want[: t.span], t.span
+        assert_matches_oracle(kind, [*range(1, 41), ORACLE_SPAN])
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("kind", FACTOR_KINDS, ids=lambda k: k.label)
+    def test_any_window_length_matches_oracle(self, kind, window, monkeypatch):
+        # Spans 1..40 and 289..300 end the last window at every offset for
+        # windows up to 12 (and at 1..44 of 64); 289 = 17^2 adds a prime.
+        # The p^2 and p^k <= 300 fall on, before and after window edges.
+        monkeypatch.setattr(_sieves, "_WINDOW", window)
+        assert_matches_oracle(kind, [*range(1, 41), *range(289, 301)])
+
+    @pytest.mark.parametrize("kind", FACTOR_KINDS, ids=lambda k: k.label)
+    def test_window_edges_at_oracle_span(self, kind, monkeypatch):
+        # 25 windows of 2^12: n = 2^16 and most p^2 sit past a window edge.
+        monkeypatch.setattr(_sieves, "_WINDOW", 1 << 12)
+        assert_matches_oracle(kind, [ORACLE_SPAN])
 
 
 # -- table plumbing -----------------------------------------------------------
@@ -326,6 +360,20 @@ class TestBuildTable:
             t = FunctionTable.from_values("fits", values)
             assert t.mode is PayloadMode.EXACT and t.values.dtype == np.int64
             assert t.values.tolist() == [int(v) for v in values]
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.5, 1.7, -2.9], [1.0, math.nan], [1.0, -math.inf], [1e19, 1.0]],
+        ids=["fractions", "nan", "inf", "past-int64"],
+    )
+    def test_from_values_refuses_non_integers_in_exact_mode(self, values):
+        # Each would have been truncated or wrapped into an exact table.
+        with pytest.raises(ValueError, match="^odd: exact values must be"):
+            FunctionTable.from_values("odd", values, mode=PayloadMode.EXACT)
+
+    def test_from_values_keeps_integral_floats_in_exact_mode(self):
+        t = FunctionTable.from_values("whole", [1.0, 2.0, -3.0], mode=PayloadMode.EXACT)
+        assert t.values.dtype == np.int64 and t.values.tolist() == [1, 2, -3]
 
 
 class TestPrefixSums:

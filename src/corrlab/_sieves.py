@@ -41,8 +41,10 @@ def _factor_pass(span: int, rule, combine=np.multiply) -> np.ndarray:
     for additive ones.  ``rule`` must also accept an array of primes at
     e = 1.  The lookup rule(p, 0..top) of each prime p <= √span is built
     once; :func:`_fold_window` then folds the lookups into one window of
-    ``_WINDOW`` entries at a time, so no temporary spans the whole range
-    (the segmented sieve of Bays & Hudson, *BIT* 17, 1977).
+    ``_WINDOW`` entries at a time and multiplies the small prime powers of
+    each n into a ``smooth`` product instead of dividing them out, so no
+    temporary spans the whole range (the segmented sieve of Bays & Hudson,
+    *BIT* 17, 1977).
     """
     out = np.empty(span, dtype=np.int64)
     lookups = []
@@ -59,11 +61,13 @@ def _factor_pass(span: int, rule, combine=np.multiply) -> np.ndarray:
 def _fold_window(win: np.ndarray, lo: int, lookups, rule, combine) -> None:
     """Write the factor pass's values for n = lo + 1 .. lo + win.size to win.
 
-    For each prime p the exponent e of p in each multiple of p in the window
-    comes from the strides of p, p², ...; rule(p, e) is folded in through
-    p's lookup, and p^e is multiplied into ``smooth``.  Then n // smooth,
-    one division per n, is 1 or the single prime P > √span that divides n,
-    which contributes rule(P, 1).
+    For each prime p, ``vals`` starts at rule(p, 1) on the window's
+    multiples of p, and the strides of p², p³, ... overwrite it with
+    rule(p, k) on the multiples of p^k, so it holds rule(p, e) for the
+    exponent e of p in each multiple; it is folded into win, and p^e is
+    multiplied into ``smooth``.  Then n // smooth, one division per n, is 1
+    or the single prime P > √span that divides n, which contributes
+    rule(P, 1).
     """
     size = win.size
     # smooth divides n, so it fits int32 wherever n does.
@@ -72,15 +76,15 @@ def _fold_window(win: np.ndarray, lo: int, lookups, rule, combine) -> None:
     smooth = np.ones(size, dtype=small)
     for p, lookup in lookups:
         first = -(lo + 1) % p  # index of the window's first multiple of p
-        e = np.ones(len(range(first, size, p)), dtype=np.intp)
+        vals = np.full(len(range(first, size, p)), lookup[1])
         smooth[first::p] *= p
-        q = p * p
+        q, k = p * p, 2
         while (at := -(lo + 1) % q) < size:  # the window holds a multiple of q
-            e[(at - first) // p :: q // p] += 1
+            vals[(at - first) // p :: q // p] = lookup[k]
             smooth[at::q] *= p
-            q *= p
+            q, k = q * p, k + 1
         seg = win[first::p]
-        combine(seg, lookup[e], out=seg)
+        combine(seg, vals, out=seg)
     rest = np.floor_divide(
         np.arange(lo + 1, lo + size + 1, dtype=small), smooth, out=smooth
     )

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import random
-from functools import partial
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest

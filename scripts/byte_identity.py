@@ -39,10 +39,22 @@ INVOCATIONS = (
      "--out", "table.csv"],
     ["sieve", "--kind", "divisor3", "--limit", "600000", "--headroom", "64",
      "--out", "table.csv"],
+    # An integer kind forced onto the float payload.
+    ["sieve", "--kind", "divisor", "--limit", "2000", "--headroom", "2",
+     "--mode", "floating", "--out", "table.csv"],
     ["identity-check", "--kind", "eulerphi", "--x", "3000", "--exact"],
     ["identity-check", "--kind", "vonmangoldt", "--x", "3000"],
     ["identity-check", "--kind", "vonmangoldt", "--x", "3000", "--exact"],
     ["minoverlap", "--n", "14", "--exact", "--out", "mo.csv"],
+    ["minoverlap", "--n", "40", "--heuristic", "--budget", "5000", "--out", "mo.csv"],
+    # Float payloads for integer kinds in the correlation sweep.
+    ["report", "--config", "floating.cfg", "--grid", "1000,10000,100000",
+     "--out-dir", "o"],
+    # Odd x only: no row has a finite bound, so no SVG is written.
+    ["claims", "--claims", "thm8.1-goldbach", "--grid", "1001,10001", "--out-dir", "o"],
+    # The measured constants' refusals: a vanishing form, a zero correlation.
+    ["constants", "--kind", "one", "--x", "1"],
+    ["constants", "--kind", "liouville", "--x", "10", "--shift", "3"],
     # Usage errors: a bad grid, a bad config value, a missing config file.
     ["claims", "--grid", "1000,100", "--out-dir", "o"],
     ["report", "--config", "bad.cfg", "--out-dir", "o"],
@@ -50,7 +62,10 @@ INVOCATIONS = (
 )
 
 #: Files placed in each working directory before the run.
-INPUTS = {"bad.cfg": "slack=-1\n"}
+INPUTS = {
+    "bad.cfg": "slack=-1\n",
+    "floating.cfg": "kinds=divisor,eulerphi\nshifts=1,2\npayload_mode=floating\n",
+}
 
 
 def _mask(name: str, data: bytes) -> bytes:

@@ -18,13 +18,13 @@ from .constants import (
     c_min,
     d_of_x,
     density_estimate,
+    diagonal_ratio,
     evaluate_claim,
     evaluate_claims,
     local_density,
 )
 from .correlation import (
     CorrelationResult,
-    diagonal_ratio,
     type1,
     type1_sweep,
     type2,

@@ -148,6 +148,7 @@ def von_mangoldt(span: int) -> np.ndarray:
 
 def master_upsilon(span: int) -> np.ndarray:
     """log n on integers with exactly two prime factors (with multiplicity)."""
-    om = big_omega(span)
-    logs = np.log(np.arange(1, span + 1, dtype=np.float64))
-    return np.where(om == 2, logs, 0.0)
+    support = np.flatnonzero(big_omega(span) == 2)  # n - 1 for each such n
+    out = np.zeros(span, dtype=np.float64)
+    out[support] = np.log(support + 1.0)
+    return out

@@ -16,7 +16,7 @@ from . import __version__
 from . import constants as consts
 from . import minoverlap as mo
 from .config import ExperimentConfig
-from .correlation import diagonal_ratio, type1, type1_sweep, type2
+from .correlation import type1_sweep, type2
 from .errors import ConfigError, CorrlabError
 from .identity import identity_check
 from .report import (
@@ -196,7 +196,7 @@ def _cmd_constants(args) -> int:
     kind = FunctionKind.parse(args.kind)
     table = build_table(kind, args.x, args.shift)
     est = consts.density_estimate(table, args.x, args.shift)
-    ratio = diagonal_ratio(table, args.x)
+    ratio = consts.diagonal_ratio(table, args.x)
     fields = {
         "kind": kind.label,
         "x": args.x,

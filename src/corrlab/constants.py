@@ -10,6 +10,10 @@ x, so this module measures them pointwise:
                      inverted upper-bound reading: the two coincide).
 * ``local_density``— the single-shift share of the full bilinear form.
 * ``d_of_x``       — the type-2 share, scaled to [0, x].
+* ``diagonal_ratio``— the share the type-2 diagonal leaves, 1 − type2/bilinear.
+
+C is formed in :func:`_c_ratio` and every share in :func:`_share`, for these
+and for the claim scorer alike.
 
 ``evaluate_claims`` then scores catalogued bounds over an x-grid, from one
 table per function kind, and reports per-point verdicts: ``consistent``,
@@ -27,7 +31,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Sequence
 
-from .correlation import _ratio, type1, type2
+from .correlation import type1, type2
 from .errors import DegenerateSum, UnknownClaim, ZeroCorrelation
 from .identity import bilinear_rhs
 from .tables import (
@@ -59,21 +63,30 @@ class DensityEstimate:
     d_ratio: Fraction | float | None = None
 
 
-def _require_positive(table: FunctionTable, x: int, l: int, t1) -> None:
+def _ratio(table: FunctionTable, num, den) -> Fraction | float:
+    """num / den: an exact Fraction for exact payloads, else a float."""
+    if table.is_exact:
+        return Fraction(num, den)
+    return num / den
+
+
+def _c_ratio(table: FunctionTable, x: int, l: int, t1, b) -> Fraction | float:
+    """C = b / (x · t1) for a type-1 sum ``t1`` at shift l and bilinear form
+    ``b``, refused unless t1 is positive, the bound's own hypothesis."""
     if t1 <= 0:
         raise ZeroCorrelation(
             f"{table.kind.label}: correlation at x={x}, shift={l} is {t1}; "
             "the positivity hypothesis fails"
         )
+    return _ratio(table, b, x * t1)
 
 
-def _nonzero(table: FunctionTable, x: int, b):
-    """The bilinear form ``b`` of ``table`` at x, refused when it vanishes."""
+def _share(table: FunctionTable, x: int, part, b) -> Fraction | float:
+    """part / b, the share of the bilinear form ``b`` at x that ``part``
+    carries, refused when b vanishes."""
     if b == 0:
-        raise DegenerateSum(
-            f"{table.kind.label}: bilinear form vanishes at x={x}"
-        )
-    return b
+        raise DegenerateSum(f"{table.kind.label}: bilinear form vanishes at x={x}")
+    return _ratio(table, part, b)
 
 
 def c_min(table: FunctionTable, x: int, l: int) -> Fraction | float:
@@ -83,9 +96,7 @@ def c_min(table: FunctionTable, x: int, l: int) -> Fraction | float:
     exactly at C = c_min and for every larger C.  Requires a positive
     correlation, which is the bound's own hypothesis.
     """
-    t1 = type1(table, x, l).value
-    _require_positive(table, x, l, t1)
-    return _ratio(table, bilinear_rhs(table, x), x * t1)
+    return _c_ratio(table, x, l, type1(table, x, l).value, bilinear_rhs(table, x))
 
 
 def local_density(table: FunctionTable, x: int, l: int) -> Fraction | float:
@@ -94,8 +105,8 @@ def local_density(table: FunctionTable, x: int, l: int) -> Fraction | float:
     Satisfies c_min · local_density · x = 1 exactly wherever both sides are
     defined.
     """
-    b = _nonzero(table, x, bilinear_rhs(table, x))
-    return _ratio(table, type1(table, x, l).value, b)
+    b = bilinear_rhs(table, x)
+    return _share(table, x, type1(table, x, l).value, b)
 
 
 def d_of_x(table: FunctionTable, x: int) -> Fraction | float:
@@ -104,8 +115,19 @@ def d_of_x(table: FunctionTable, x: int) -> Fraction | float:
     Complements the off-diagonal split exactly: d_of_x/x plus the
     off-diagonal ratio equals 1.
     """
-    b = _nonzero(table, x, bilinear_rhs(table, x))
-    return _ratio(table, x * type2(table, x).value, b)
+    b = bilinear_rhs(table, x)
+    return _share(table, x, x * type2(table, x).value, b)
+
+
+def diagonal_ratio(table: FunctionTable, x: int) -> Fraction | float:
+    """Fraction of the bilinear form NOT hit by the type-2 diagonal:
+    1 − type2(x)/bilinear(x).
+
+    Exact payloads return an exact Fraction so downstream partition checks
+    can demand literal equality; floating payloads return a float.
+    """
+    b = bilinear_rhs(table, x)
+    return 1 - _share(table, x, type2(table, x).value, b)
 
 
 def density_estimate(table: FunctionTable, x: int, l: int) -> DensityEstimate:
@@ -114,19 +136,18 @@ def density_estimate(table: FunctionTable, x: int, l: int) -> DensityEstimate:
     Each of type1, bilinear and type2 is computed once and shared.
     """
     t1 = type1(table, x, l).value
-    _require_positive(table, x, l, t1)
-    b = _nonzero(table, x, bilinear_rhs(table, x))
-    c = _ratio(table, b, x * t1)
+    b = bilinear_rhs(table, x)
+    c = _c_ratio(table, x, l, t1, b)
     d_ratio = None
     if x >= 2:
-        d_ratio = _ratio(table, x * type2(table, x).value, b) / x
+        d_ratio = _share(table, x, x * type2(table, x).value, b) / x
     return DensityEstimate(
         kind=table.kind,
         x=x,
         shift=l,
         c_min=c,
         c_max=c,
-        local_density=_ratio(table, t1, b),
+        local_density=_share(table, x, t1, b),
         d_ratio=d_ratio,
     )
 
@@ -394,9 +415,9 @@ def _score(
         if not spec.uses_constant:
             const = float("nan")
         elif spec.correlation == "type1":
-            const = float(_ratio(table, form(x), x * value))
+            const = float(_c_ratio(table, x, shift, value, form(x)))
         else:
-            const = float(_ratio(table, x * value, _nonzero(table, x, form(x))))
+            const = float(_share(table, x, x * value, form(x)))
         constant.append(const if spec.uses_constant else None)
 
         b = spec.bound_fn(float(x), const, settings)

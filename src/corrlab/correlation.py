@@ -9,13 +9,11 @@ silent padding would bias every constant derived from these sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from ._accum import counted_dot, counted_shift_dots
-from .errors import DegenerateSum, RangeError
-from .identity import _check_range, bilinear_rhs
-from .tables import FunctionKind, FunctionTable
+from .errors import RangeError
+from .tables import FunctionKind, FunctionTable, _check_range
 
 
 @dataclass(frozen=True)
@@ -42,13 +40,6 @@ class CorrelationResult:
     @property
     def shift_label(self) -> str:
         return "type2" if self.shift is None else str(self.shift)
-
-
-def _ratio(table: FunctionTable, num, den) -> Fraction | float:
-    """num / den: an exact Fraction for exact payloads, else a float."""
-    if table.is_exact:
-        return Fraction(num, den)
-    return num / den
 
 
 def type1(table: FunctionTable, x: int, l: int) -> CorrelationResult:
@@ -107,19 +98,3 @@ def type1_sweep(
         CorrelationResult(table.kind, x, l, value, terms)
         for l, (value, terms) in zip(shifts, sums)
     ]
-
-
-def diagonal_ratio(table: FunctionTable, x: int) -> Fraction | float:
-    """Fraction of the bilinear form NOT hit by the type-2 diagonal:
-    1 − type2(x)/bilinear(x).
-
-    Exact payloads return an exact Fraction so downstream partition checks
-    can demand literal equality; floating payloads return a float.
-    """
-    b = bilinear_rhs(table, x)
-    if b == 0:
-        raise DegenerateSum(
-            f"{table.kind.label}: bilinear form vanishes at x={x}; "
-            "the diagonal split is undefined"
-        )
-    return 1 - _ratio(table, type2(table, x).value, b)

@@ -27,7 +27,14 @@ from ._accum import (
     sums_fit_int64,
 )
 from .errors import BudgetExceeded, RangeError
-from .tables import FunctionTable, PayloadMode, PrefixSums, _as_values, _integer_valued
+from .tables import (
+    FunctionTable,
+    PayloadMode,
+    PrefixSums,
+    _as_values,
+    _check_range,
+    _integer_valued,
+)
 
 #: Largest x the quadratic-cost oracle will accept by default.
 DEFAULT_ORACLE_CAP = 100_000
@@ -118,15 +125,6 @@ def general_area_identity(
     S, H = prefix(r), prefix(h)
     rhs = dot(h[1:], S[2:] + S[1:-1]) - 2 * dot(r[:-1], H[-1] - H[1:-1])
     return _verdict(lhs, rhs, exact, tolerance)
-
-
-def _check_range(table: FunctionTable, x: int) -> None:
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    if x > table.limit:
-        raise RangeError(
-            f"{table.kind.label}: x={x} exceeds table limit {table.limit}"
-        )
 
 
 def bilinear_rhs(

@@ -183,10 +183,30 @@ def write_json(path: str | Path, bundle: ReportBundle) -> None:
     atomic_write(path, render_json(bundle))
 
 
-def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
+def _axis(vals: Sequence[float], want_log: bool, origin: float, extent: float):
+    """One chart axis over ``vals``: the map from a value to its pixel, and
+    the (pixel, label) pair of each tick.
+
+    The axis is log10 when asked and every value is positive, else linear.
+    A zero range widens by 1 on each side.  The y axis passes origin
+    ``height - margin`` and a negative extent, since pixels grow downward.
+    """
+    vals = [float(v) for v in vals]
+    logged = want_log and all(v > 0 for v in vals)
+    if logged:
+        vals = [math.log10(v) for v in vals]
+    lo, hi = min(vals), max(vals)
+    if hi == lo:
+        lo, hi = lo - 1.0, hi + 1.0
+
+    def at(t: float) -> float:
+        return origin + (t - lo) / (hi - lo) * extent
+
+    def to_px(v: float) -> float:
+        return at(math.log10(v) if logged else v)
+
+    ticks = [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
+    return to_px, [(at(t), 10.0**t if logged else t) for t in ticks]
 
 
 def render_line_chart(
@@ -204,44 +224,16 @@ def render_line_chart(
     """
     width, height = _WIDTH, _HEIGHT
     margin = 64.0
-    plot_w = width - 2 * margin
-    plot_h = height - 2 * margin
 
-    def tx(vals, want_log):
-        vals = [float(v) for v in vals]
-        if want_log and all(v > 0 for v in vals):
-            return [math.log10(v) for v in vals], True
-        return vals, False
-
-    xs_all, ys_all = [], []
-    txd = []
     for label, xs, ys in series:
         if len(xs) != len(ys):
             raise ValueError(f"series {label!r}: x/y length mismatch")
-        txd.append((label, list(xs), list(ys)))
-        xs_all.extend(xs)
-        ys_all.extend(ys)
-    finite_y = [y for y in ys_all if math.isfinite(y)]
-    finite_x = [x for x in xs_all if math.isfinite(x)]
+    finite_x = [x for _, xs, _ in series for x in xs if math.isfinite(x)]
+    finite_y = [y for _, _, ys in series for y in ys if math.isfinite(y)]
     if not finite_x or not finite_y:
         finite_x, finite_y = [0.0, 1.0], [0.0, 1.0]
-
-    lx_vals, x_logged = tx(finite_x, log_x)
-    ly_vals, y_logged = tx(finite_y, log_y)
-    x_lo, x_hi = min(lx_vals), max(lx_vals)
-    y_lo, y_hi = min(ly_vals), max(ly_vals)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
-
-    def px(v: float) -> float:
-        v = math.log10(v) if x_logged else v
-        return margin + (v - x_lo) / (x_hi - x_lo) * plot_w
-
-    def py(v: float) -> float:
-        v = math.log10(v) if y_logged else v
-        return height - margin - (v - y_lo) / (y_hi - y_lo) * plot_h
+    px, x_ticks = _axis(finite_x, log_x, margin, width - 2 * margin)
+    py, y_ticks = _axis(finite_y, log_y, height - margin, -(height - 2 * margin))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -254,9 +246,7 @@ def render_line_chart(
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
         f'y2="{height - margin}" stroke="#333" stroke-width="1"/>',
     ]
-    for t in _ticks(x_lo, x_hi):
-        x = margin + (t - x_lo) / (x_hi - x_lo) * plot_w
-        label = 10.0**t if x_logged else t
+    for x, label in x_ticks:
         parts.append(
             f'<line x1="{x:.2f}" y1="{height - margin}" x2="{x:.2f}" '
             f'y2="{height - margin + 5}" stroke="#333"/>'
@@ -265,9 +255,7 @@ def render_line_chart(
             f'<text x="{x:.2f}" y="{height - margin + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{label:.6g}</text>'
         )
-    for t in _ticks(y_lo, y_hi):
-        y = height - margin - (t - y_lo) / (y_hi - y_lo) * plot_h
-        label = 10.0**t if y_logged else t
+    for y, label in y_ticks:
         parts.append(
             f'<line x1="{margin - 5}" y1="{y:.2f}" x2="{margin}" '
             f'y2="{y:.2f}" stroke="#333"/>'
@@ -276,7 +264,7 @@ def render_line_chart(
             f'<text x="{margin - 8}" y="{y + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{label:.6g}</text>'
         )
-    for i, (label, xs, ys) in enumerate(txd):
+    for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(
             f"{px(x):.2f},{py(y):.2f}"

@@ -267,6 +267,15 @@ class FunctionTable:
         )
 
 
+def _check_range(table: FunctionTable, x: int) -> None:
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x}")
+    if x > table.limit:
+        raise RangeError(
+            f"{table.kind.label}: x={x} exceeds table limit {table.limit}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class PrefixSums:
     """Cumulative sums S(n) = sum of f(m) for m <= n, with S(0) = 0.

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from corrlab import cli, constants
 from corrlab.cli import main
+from corrlab.identity import IdentityCheckResult
 from corrlab.report import read_csv
-from corrlab.tables import build_table
+from corrlab.tables import PayloadMode, build_table
 
 
 def run(capsys, *argv):
@@ -53,6 +55,17 @@ class TestExitCodes:
         )
         assert code == 1
         assert err.startswith("error: code=USAGE")
+        assert err.count("\n") == 1
+
+    def test_unwritable_out_path_is_io_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run(
+            capsys, "sieve", "--kind", "one", "--limit", "5",
+            "--out", str(blocker / "table.csv"),
+        )
+        assert code == 2
+        assert err.startswith("error: code=IO")
         assert err.count("\n") == 1
 
     def test_help_exits_zero(self, capsys):
@@ -111,6 +124,14 @@ class TestSieve:
         assert table.header == ("n", "value")
         assert table.rows == ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1))
 
+    def test_floating_mode_on_integer_kind(self, capsys):
+        code, out, _ = run(
+            capsys, "sieve", "--kind", "musquared", "--limit", "100",
+            "--mode", "floating",
+        )
+        assert code == 0
+        assert "mode=floating sum=61" in out
+
 
 class TestIdentityCheck:
     def test_exact_kind(self, capsys):
@@ -123,6 +144,16 @@ class TestIdentityCheck:
             capsys, "identity-check", "--kind", "vonmangoldt", "--x", "200"
         )
         assert code == 0
+
+    def test_mismatch_is_exit_2(self, capsys, monkeypatch):
+        def mismatch(table, x, tolerance, oracle_cap):
+            return IdentityCheckResult(7, 8, False, table.mode)
+
+        monkeypatch.setattr(cli, "identity_check", mismatch)
+        code, out, err = run(capsys, "identity-check", "--kind", "divisor", "--x", "10")
+        assert code == 2
+        assert out == ""
+        assert err == "error: code=IDENTITY lhs=7 rhs=8 differ (mode=exact)\n"
 
     def test_exact_flag_rejected_for_float_kind(self, capsys):
         code, _, err = run(
@@ -189,6 +220,24 @@ class TestConstants:
         for token in ("c_min=", "c_max=", "local_density=", "d_of_x=", "diagonal_ratio="):
             assert token in out
 
+    def test_csv(self, capsys, tmp_path):
+        # f = 1 at x = 10: type1 = 10, bilinear = 45, type2 = 4.
+        out_file = tmp_path / "const.csv"
+        code, out, _ = run(
+            capsys, "constants", "--kind", "one", "--x", "10", "--out", str(out_file)
+        )
+        assert code == 0
+        assert out.splitlines()[1] == f"wrote {out_file}"
+        table = read_csv(out_file)
+        assert table.header == (
+            "kind", "x", "shift", "c_min", "c_max", "local_density", "d_of_x",
+            "diagonal_ratio",
+        )
+        assert table.rows == (
+            ("one", 10, 1, 0.45, 0.45, float(Fraction(2, 9)), float(Fraction(8, 9)),
+             float(Fraction(41, 45))),
+        )
+
 
 class TestClaims:
     def test_small_run_writes_files(self, capsys, tmp_path):
@@ -249,6 +298,21 @@ class TestClaims:
         assert code == 0
         assert (tmp_path / "claim-cor6.4-musq.svg").exists()
 
+    def test_no_svg_without_a_finite_bound(self, capsys, tmp_path):
+        # The representation claim holds for even x only, so every row of an
+        # odd grid is vacuous with a NaN bound, and there is nothing to draw.
+        code, _, _ = run(
+            capsys,
+            "claims",
+            "--claims", "thm8.1-goldbach",
+            "--grid", "1001,10001",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        claims = read_csv(tmp_path / "claims.csv")
+        assert [row[5] for row in claims.rows] == ["vacuous", "vacuous"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["claims.csv", "report.json"]
+
 
 class TestMinoverlap:
     def test_exact(self, capsys, tmp_path):
@@ -304,6 +368,33 @@ class TestReport:
         assert code == 0
         corr = read_csv(tmp_path / "out" / "correlations.csv")
         assert {row[0] for row in corr.rows} == {"musquared"}
+
+    def test_floating_payload_mode(self, capsys, tmp_path, monkeypatch):
+        modes = []
+
+        def recording(kind, limit, shift_headroom=0, *, mode=None):
+            modes.append(mode)
+            return build_table(kind, limit, shift_headroom, mode=mode)
+
+        monkeypatch.setattr(cli, "build_table", recording)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "x_grid = 100,1000\nkinds = divisor\nclaims = cor6.4-musq\n"
+            "payload_mode = floating\n"
+        )
+        code, _, _ = run(
+            capsys, "report", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+            "--no-svg",
+        )
+        assert code == 0
+        assert modes == [PayloadMode.FLOATING]
+        # CSV cells print these whole sums without a point; JSON keeps them floats.
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        rows = doc["tables"]["correlations"]["rows"]
+        assert [row[0] for row in rows] == ["divisor2", "divisor2"]
+        assert all(isinstance(row[3], float) for row in rows)
+        corr = read_csv(tmp_path / "out" / "correlations.csv")
+        assert [row[3] for row in corr.rows] == [row[3] for row in rows]
 
     def test_missing_config_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "report", "--config", str(tmp_path / "nope.cfg"))

@@ -15,6 +15,7 @@ from corrlab import (
     MU_SQUARED,
     VON_MANGOLDT,
     ClaimSettings,
+    DegenerateSum,
     FunctionKind,
     FunctionTable,
     UnknownClaim,
@@ -85,6 +86,18 @@ class TestDOfX:
         for x in (10, 100, 500):
             total = d_of_x(t, x) / x + diagonal_ratio(t, x)
             assert total == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "share",
+        [lambda t: local_density(t, 4, 1), lambda t: d_of_x(t, 4),
+         lambda t: diagonal_ratio(t, 4)],
+        ids=["local_density", "d_of_x", "diagonal_ratio"],
+    )
+    def test_every_share_refuses_a_vanishing_form(self, share):
+        t = FunctionTable.from_values("point", [1, 0, 0, 0, 0], shift_headroom=1)
+        with pytest.raises(DegenerateSum) as info:
+            share(t)
+        assert str(info.value) == "custom:point: bilinear form vanishes at x=4"
 
 
 class TestDensityEstimate:

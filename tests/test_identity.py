@@ -305,6 +305,14 @@ class TestMemory:
         window_bytes = 8 * _sieves._WINDOW
         assert _peak_bytes(lambda: sieve(span)) < 8 * span + 2 * window_bytes
 
+    def test_upsilon_peaks_below_twice_its_output(self):
+        # Ω's int64 pass peaks at its output plus two windows, under 8·span
+        # here; the log step then holds the zeroed float output and three
+        # float64/int64 arrays over the Ω = 2 support, a fifth of the span.
+        # A log over the whole span needs two more full-length arrays.
+        span = 3 * _sieves._WINDOW + 5
+        assert _peak_bytes(lambda: _sieves.master_upsilon(span)) < 2 * 8 * span
+
     def test_float_bilinear_writes_no_running_sum_array(self):
         t = build_table(VON_MANGOLDT, 10**5)
         assert _peak_bytes(lambda: bilinear_rhs(t, 10**5)) < t.values.nbytes // 8

@@ -39,7 +39,7 @@ INVOCATIONS = (
      "--out", "table.csv"],
     ["sieve", "--kind", "divisor3", "--limit", "600000", "--headroom", "64",
      "--out", "table.csv"],
-    # An integer kind forced onto the float payload.
+    # The payload follows the kind: no --mode flag, exit 1 with one usage line.
     ["sieve", "--kind", "divisor", "--limit", "2000", "--headroom", "2",
      "--mode", "floating", "--out", "table.csv"],
     ["identity-check", "--kind", "eulerphi", "--x", "3000", "--exact"],
@@ -47,8 +47,13 @@ INVOCATIONS = (
     ["identity-check", "--kind", "vonmangoldt", "--x", "3000", "--exact"],
     ["minoverlap", "--n", "14", "--exact", "--out", "mo.csv"],
     ["minoverlap", "--n", "40", "--heuristic", "--budget", "5000", "--out", "mo.csv"],
-    # Float payloads for integer kinds in the correlation sweep.
+    # Integer kinds, exact, in the correlation sweep.
+    ["report", "--config", "integer.cfg", "--grid", "1000,10000,100000",
+     "--out-dir", "o"],
+    # payload_mode accepts only auto: exit 1 with one usage line.
     ["report", "--config", "floating.cfg", "--grid", "1000,10000,100000",
+     "--out-dir", "o"],
+    ["report", "--config", "exact.cfg", "--grid", "1000,10000,100000",
      "--out-dir", "o"],
     # Odd x only: no row has a finite bound, so no SVG is written.
     ["claims", "--claims", "thm8.1-goldbach", "--grid", "1001,10001", "--out-dir", "o"],
@@ -64,7 +69,9 @@ INVOCATIONS = (
 #: Files placed in each working directory before the run.
 INPUTS = {
     "bad.cfg": "slack=-1\n",
+    "integer.cfg": "kinds=divisor,eulerphi\nshifts=1,2\n",
     "floating.cfg": "kinds=divisor,eulerphi\nshifts=1,2\npayload_mode=floating\n",
+    "exact.cfg": "kinds=divisor,eulerphi\nshifts=1,2\npayload_mode=exact\n",
 }
 
 

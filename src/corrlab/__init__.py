@@ -69,7 +69,6 @@ from .tables import (
     VON_MANGOLDT,
     FunctionKind,
     FunctionTable,
-    PayloadMode,
     PrefixSums,
     build_table,
     mean_value_reference,
@@ -101,7 +100,6 @@ __all__ = [
     "MASTER_UPSILON",
     "MU_SQUARED",
     "OverlapResult",
-    "PayloadMode",
     "PrefixSums",
     "ReportBundle",
     "ResultTable",

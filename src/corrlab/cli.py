@@ -32,7 +32,7 @@ from .report import (
     write_json,
     write_svg,
 )
-from .tables import FunctionKind, PayloadMode, build_table, prefix_sums
+from .tables import FunctionKind, build_table, prefix_sums
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,10 +49,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
 
 
-def _payload_mode(text: str) -> PayloadMode | None:
-    if text == "auto":
-        return None
-    return PayloadMode.EXACT if text == "exact" else PayloadMode.FLOATING
+def _mode(exact: bool) -> str:
+    """The ``mode=`` token's value for an exact or a floating payload."""
+    return "exact" if exact else "floating"
 
 
 def build_parser() -> _Parser:
@@ -64,7 +63,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--kind", required=True)
     sp.add_argument("--limit", type=int, required=True)
     sp.add_argument("--headroom", type=int, default=0)
-    sp.add_argument("--mode", choices=("auto", "exact", "floating"), default="auto")
     sp.add_argument("--out", help="CSV output path (header n,value)")
     sp.set_defaults(func=_cmd_sieve)
 
@@ -139,9 +137,7 @@ def _correlation_row(r) -> tuple:
 
 def _cmd_sieve(args) -> int:
     kind = FunctionKind.parse(args.kind)
-    table = build_table(
-        kind, args.limit, args.headroom, mode=_payload_mode(args.mode)
-    )
+    table = build_table(kind, args.limit, args.headroom)
     ps = prefix_sums(table)
     if args.out:
         rows = tuple((n, table.value(n)) for n in range(1, table.span + 1))
@@ -149,7 +145,7 @@ def _cmd_sieve(args) -> int:
         print(f"wrote {args.out}")
     print(
         f"kind={kind.label} limit={table.limit} headroom={table.shift_headroom} "
-        f"mode={table.mode.value} sum={format_cell(ps.s(table.limit))}"
+        f"mode={_mode(table.is_exact)} sum={format_cell(ps.s(table.limit))}"
     )
     return 0
 
@@ -161,11 +157,11 @@ def _cmd_identity_check(args) -> int:
         raise ValueError(f"{kind.label} has no exact payload; drop --exact")
     res = identity_check(table, args.x, args.tolerance, args.oracle_cap)
     if res.equal:
-        print(f"lhs=rhs value={format_cell(res.lhs)} mode={res.mode.value}")
+        print(f"lhs=rhs value={format_cell(res.lhs)} mode={_mode(res.exact)}")
         return 0
     print(
         f"error: code=IDENTITY lhs={format_cell(res.lhs)} "
-        f"rhs={format_cell(res.rhs)} differ (mode={res.mode.value})",
+        f"rhs={format_cell(res.rhs)} differ (mode={_mode(res.exact)})",
         file=sys.stderr,
     )
     return 2
@@ -202,7 +198,6 @@ def _cmd_constants(args) -> int:
         "x": args.x,
         "shift": args.shift,
         "c_min": est.c_min,
-        "c_max": est.c_max,
         "local_density": est.local_density,
         "d_of_x": consts.d_of_x(table, args.x),
         "diagonal_ratio": ratio,
@@ -344,12 +339,7 @@ def _cmd_report(args) -> int:
     max_x = max(cfg.x_grid)
     for kind_label in cfg.kinds:
         kind = FunctionKind.parse(kind_label)
-        table = build_table(
-            kind,
-            max_x,
-            max(cfg.shifts),
-            mode=_payload_mode(cfg.payload_mode),
-        )
+        table = build_table(kind, max_x, max(cfg.shifts))
         for x in cfg.x_grid:
             corr_rows += map(_correlation_row, type1_sweep(table, x, list(cfg.shifts)))
     corr_table = ResultTable("correlations", CORRELATION_HEADER, tuple(corr_rows))

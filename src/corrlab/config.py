@@ -25,7 +25,11 @@ class ExperimentConfig:
     kinds: tuple[str, ...] = ("vonmangoldt",)
     x_grid: tuple[int, ...] = (1_000, 10_000, 100_000, 1_000_000)
     shifts: tuple[int, ...] = (2,)
-    payload_mode: str = "auto"  # auto | exact | floating
+    # The payload is the sieve's dtype: integer kinds exact, Λ and Υ
+    # floating.  payload_mode accepts only auto and stays only so
+    # config_digest keeps its value (bench/reference/report.json pins the
+    # default digest).
+    payload_mode: str = "auto"
     oracle_cap: int = 100_000
     tolerance: float = 1e-9
     slack: float = 0.25
@@ -64,8 +68,8 @@ class ExperimentConfig:
             raise ConfigError(f"divisor_order must be >= 2: {self.divisor_order}")
         if self.oracle_cap < 1 or self.budget < 1:
             raise ConfigError("oracle_cap and budget must be positive")
-        if self.payload_mode not in ("auto", "exact", "floating"):
-            raise ConfigError(f"unknown payload_mode: {self.payload_mode}")
+        if self.payload_mode != "auto":
+            raise ConfigError(f"payload_mode must be auto, got {self.payload_mode}")
         if self.segment_size < 0 or self.seed < 0:
             raise ConfigError("segment_size and seed must be >= 0")
         return self

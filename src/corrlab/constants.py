@@ -58,7 +58,6 @@ class DensityEstimate:
     x: int
     shift: int
     c_min: Fraction | float
-    c_max: Fraction | float
     local_density: Fraction | float
     d_ratio: Fraction | float | None = None
 
@@ -131,7 +130,7 @@ def diagonal_ratio(table: FunctionTable, x: int) -> Fraction | float:
 
 
 def density_estimate(table: FunctionTable, x: int, l: int) -> DensityEstimate:
-    """Bundle c_min, c_max, local_density, and (for x >= 2) d_ratio.
+    """Bundle c_min, local_density, and (for x >= 2) d_ratio.
 
     Each of type1, bilinear and type2 is computed once and shared.
     """
@@ -146,7 +145,6 @@ def density_estimate(table: FunctionTable, x: int, l: int) -> DensityEstimate:
         x=x,
         shift=l,
         c_min=c,
-        c_max=c,
         local_density=_share(table, x, t1, b),
         d_ratio=d_ratio,
     )

@@ -29,7 +29,6 @@ from ._accum import (
 from .errors import BudgetExceeded, RangeError
 from .tables import (
     FunctionTable,
-    PayloadMode,
     PrefixSums,
     _as_values,
     _check_range,
@@ -87,7 +86,7 @@ class IdentityCheckResult:
     lhs: int | float
     rhs: int | float
     equal: bool
-    mode: PayloadMode
+    exact: bool
     tolerance: float | None = None
 
 
@@ -95,9 +94,9 @@ def _verdict(lhs, rhs, exact: bool, tolerance: float) -> IdentityCheckResult:
     """Exact sides must be equal; float sides within ``tolerance``, relative
     to the larger side (or absolute below 1)."""
     if exact:
-        return IdentityCheckResult(lhs, rhs, lhs == rhs, PayloadMode.EXACT)
+        return IdentityCheckResult(lhs, rhs, lhs == rhs, True)
     equal = abs(lhs - rhs) <= tolerance * max(1.0, abs(lhs), abs(rhs))
-    return IdentityCheckResult(lhs, rhs, equal, PayloadMode.FLOATING, tolerance)
+    return IdentityCheckResult(lhs, rhs, equal, False, tolerance)
 
 
 def general_area_identity(
@@ -158,7 +157,7 @@ def _bilinear_prefix(
     vals = table.values[1:x]  # f(n) for n = 2..x
     bits = table._value_bits
     if prefix is not None:
-        if prefix.kind != table.kind or prefix.mode != table.mode:
+        if prefix.kind != table.kind or prefix.is_exact != table.is_exact:
             raise ValueError("prefix sums were built from a different table")
         if prefix.limit < x - 1:
             raise RangeError(f"prefix sums cover only 0..{prefix.limit}, need {x - 1}")

@@ -1,9 +1,10 @@
 """Dense value tables for the arithmetic functions used by the experiments.
 
 A :class:`FunctionTable` holds f(1..limit) (plus optional headroom for
-shifted reads) for one :class:`FunctionKind`.  Integer-valued kinds carry an
-exact int64 payload; the real-valued kinds carry float64.  Tables and their
-prefix sums are immutable and safe to share across threads.
+shifted reads) for one :class:`FunctionKind`.  The payload's dtype is its
+mode: int64 is exact (the integer-valued kinds) and float64 is floating
+(Λ and Υ).  Tables and their prefix sums are immutable and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -18,13 +19,6 @@ import numpy as np
 from . import _sieves
 from ._accum import _bits, _exact_operand, compensated_prefix_sums, exact_prefix_sums
 from .errors import RangeError, UnsupportedKind
-
-
-class PayloadMode(Enum):
-    """Value representation of a table: exact integers or 64-bit floats."""
-
-    EXACT = "exact"
-    FLOATING = "floating"
 
 
 def _as_values(values) -> np.ndarray:
@@ -56,18 +50,6 @@ class Variant(Enum):
     CONSTANT_ONE = "one"
     CUSTOM = "custom"
 
-
-# Variants whose values are integers and therefore support exact payloads.
-_INTEGER_VARIANTS = frozenset(
-    {
-        Variant.DIVISOR,
-        Variant.EULER_PHI,
-        Variant.MU_SQUARED,
-        Variant.LIOUVILLE,
-        Variant.BIG_OMEGA,
-        Variant.CONSTANT_ONE,
-    }
-)
 
 _PARSE_ALIASES = {
     "vonmangoldt": Variant.VON_MANGOLDT,
@@ -137,10 +119,6 @@ class FunctionKind:
 
     # -- properties --------------------------------------------------------
     @property
-    def integer_valued(self) -> bool:
-        return self.variant in _INTEGER_VARIANTS
-
-    @property
     def label(self) -> str:
         """Stable text form; ``parse(label)`` round-trips non-custom kinds."""
         if self.variant is Variant.DIVISOR:
@@ -171,10 +149,9 @@ class FunctionTable:
         The nominal range 1..limit that sums run over.
     shift_headroom : int
         Extra trailing entries so shifted reads f(n + l) stay in range.
-    mode : PayloadMode
-        Exact integer payload or float64 payload.
     values : numpy.ndarray
         Length ``limit + shift_headroom``; position i holds f(i + 1).
+        int64 (exact) or float64 (floating); any other dtype is refused.
         Stored as a read-only view that cannot be made writeable again.
 
     Exact tables record the bit length of max|f| once, when they are built,
@@ -184,7 +161,6 @@ class FunctionTable:
     kind: FunctionKind
     limit: int
     shift_headroom: int
-    mode: PayloadMode
     values: np.ndarray
     _value_bits: int | None = field(init=False, repr=False)
 
@@ -197,6 +173,10 @@ class FunctionTable:
             raise ValueError(
                 f"payload length {self.values.shape} does not match "
                 f"limit {self.limit} + headroom {self.shift_headroom}"
+            )
+        if self.values.dtype not in (np.int64, np.float64):
+            raise ValueError(
+                f"payload dtype must be int64 or float64, got {self.values.dtype}"
             )
         self.values.setflags(write=False)
         # A view of a read-only array cannot be made writeable, so the bound
@@ -213,7 +193,7 @@ class FunctionTable:
 
     @property
     def is_exact(self) -> bool:
-        return self.mode is PayloadMode.EXACT
+        return self.values.dtype == np.int64
 
     def value(self, n: int):
         """f(n) as a Python scalar; out-of-range reads are an error."""
@@ -226,43 +206,26 @@ class FunctionTable:
 
     @classmethod
     def from_values(
-        cls,
-        name: str,
-        values: Iterable,
-        *,
-        shift_headroom: int = 0,
-        mode: PayloadMode | None = None,
+        cls, name: str, values: Iterable, *, shift_headroom: int = 0
     ) -> "FunctionTable":
         """Wrap explicit values as a custom table (index 0 holds f(1)).
 
-        Integers make an exact int64 table.  uint64 and object values pass
-        through Python ints, so one that int64 cannot hold is refused with a
-        ValueError instead of wrapping.  Other values make an exact table only
-        if each is a finite integer within int64; otherwise mode EXACT is
-        refused with a ValueError instead of truncating.
+        Integers make an exact int64 table and anything else a float64 one.
+        uint64 and object values pass through Python ints, so one that int64
+        cannot hold is refused with a ValueError instead of wrapping.
         """
         arr = _as_values(values if isinstance(values, np.ndarray) else list(values))
-        integral = _integer_valued(arr)
-        if mode is None:
-            mode = PayloadMode.EXACT if integral else PayloadMode.FLOATING
-        if mode is PayloadMode.EXACT and integral:
+        if _integer_valued(arr):
             try:
                 arr = _exact_operand(arr).astype(np.int64)
             except OverflowError:
                 raise ValueError(f"{name}: integer values must fit int64") from None
-        elif mode is PayloadMode.EXACT:
-            arr = arr.astype(np.float64)
-            # NaN fails the first test and ±inf the second.
-            if not ((np.trunc(arr) == arr) & (np.abs(arr) < 2.0**63)).all():
-                raise ValueError(f"{name}: exact values must be integers in int64")
-            arr = arr.astype(np.int64)
         else:
             arr = arr.astype(np.float64)
         return cls(
             kind=FunctionKind.custom(name),
             limit=arr.size - shift_headroom,
             shift_headroom=shift_headroom,
-            mode=mode,
             values=arr,
         )
 
@@ -280,15 +243,15 @@ def _check_range(table: FunctionTable, x: int) -> None:
 class PrefixSums:
     """Cumulative sums S(n) = sum of f(m) for m <= n, with S(0) = 0.
 
-    ``_sum_bits`` bounds the bit length of every |S(n)| of exact sums (None
-    for float sums).  :func:`prefix_sums` records bits(f) + limit.bit_length()
-    without reading the sums; when it is not given for int64 sums, it is
-    measured once.
+    Sums are exact (int64, or Python ints past int64) unless they are
+    float64.  ``_sum_bits`` bounds the bit length of every |S(n)| of exact
+    sums (None for float sums).  :func:`prefix_sums` records
+    bits(f) + limit.bit_length() without reading the sums; when it is not
+    given for int64 sums, it is measured once.
     """
 
     kind: FunctionKind
     limit: int
-    mode: PayloadMode
     sums: np.ndarray  # length limit + 1; position n holds S(n)
     _sum_bits: int | None = field(default=None, repr=False)
 
@@ -302,7 +265,7 @@ class PrefixSums:
 
     @property
     def is_exact(self) -> bool:
-        return self.mode is PayloadMode.EXACT
+        return self.sums.dtype != np.float64
 
     def s(self, n: int):
         """S(n) as a Python scalar, defined for 0 <= n <= limit."""
@@ -326,11 +289,7 @@ _SIEVES = {
 
 
 def build_table(
-    kind: FunctionKind,
-    limit: int,
-    shift_headroom: int = 0,
-    *,
-    mode: PayloadMode | None = None,
+    kind: FunctionKind, limit: int, shift_headroom: int = 0
 ) -> FunctionTable:
     """Sieve the values of ``kind`` over 1..limit (+headroom).
 
@@ -338,10 +297,10 @@ def build_table(
         kind: function selector; custom kinds cannot be sieved.
         limit: table covers 1..limit.
         shift_headroom: extra entries beyond the limit for shifted reads.
-        mode: payload override; defaults to exact for integer-valued kinds.
 
     Returns:
-        An immutable FunctionTable.
+        An immutable FunctionTable: exact (int64) for the integer-valued
+        kinds, floating (float64) for Λ and Υ.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -349,22 +308,12 @@ def build_table(
         raise ValueError(f"shift_headroom must be >= 0, got {shift_headroom}")
     if kind.variant is Variant.CUSTOM:
         raise UnsupportedKind("custom kinds are built via FunctionTable.from_values")
-    if mode is None:
-        mode = PayloadMode.EXACT if kind.integer_valued else PayloadMode.FLOATING
-    if mode is PayloadMode.EXACT and not kind.integer_valued:
-        raise UnsupportedKind(
-            f"{kind.label} is real-valued and has no exact integer payload"
-        )
     span = limit + shift_headroom
     if kind.variant is Variant.DIVISOR:
         raw = _sieves.divisor_tower(span, kind.order)
     else:
         raw = _SIEVES[kind.variant](span)
-    if mode is PayloadMode.FLOATING and raw.dtype != np.float64:
-        raw = raw.astype(np.float64)
-    return FunctionTable(
-        kind=kind, limit=limit, shift_headroom=shift_headroom, mode=mode, values=raw
-    )
+    return FunctionTable(kind, limit, shift_headroom, raw)
 
 
 def prefix_sums(table: FunctionTable) -> PrefixSums:
@@ -376,10 +325,10 @@ def prefix_sums(table: FunctionTable) -> PrefixSums:
     head = table.values[: table.limit]
     if not table.is_exact:
         sums = compensated_prefix_sums(head)
-        return PrefixSums(table.kind, table.limit, table.mode, sums)
+        return PrefixSums(table.kind, table.limit, sums)
     sums = exact_prefix_sums(head, table._value_bits)
     bound = table._value_bits + table.limit.bit_length()
-    return PrefixSums(table.kind, table.limit, table.mode, sums, bound)
+    return PrefixSums(table.kind, table.limit, sums, bound)
 
 
 def mean_value_reference(kind: FunctionKind, x: int) -> float:

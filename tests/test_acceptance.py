@@ -25,7 +25,6 @@ from corrlab import (
     MU_SQUARED,
     VON_MANGOLDT,
     FunctionKind,
-    PayloadMode,
     SequencePair,
     bilinear_rhs,
     build_table,
@@ -107,7 +106,7 @@ def test_criterion_2_general_identity_random_pairs(acceptance_log):
         r = [rng.randint(-10_000, 10_000) for _ in range(n)]
         h = [rng.randint(-10_000, 10_000) for _ in range(n)]
         res = general_area_identity(SequencePair(r, h))
-        if not (res.equal and res.lhs == res.rhs and res.mode is PayloadMode.EXACT):
+        if not (res.equal and res.lhs == res.rhs and res.exact):
             bad += 1
     elapsed = time.perf_counter() - t0
     ok = bad == 0 and elapsed < 1.0

@@ -12,7 +12,7 @@ from corrlab import cli, constants
 from corrlab.cli import main
 from corrlab.identity import IdentityCheckResult
 from corrlab.report import read_csv
-from corrlab.tables import PayloadMode, build_table
+from corrlab.tables import build_table
 
 
 def run(capsys, *argv):
@@ -99,6 +99,8 @@ class TestExitCodes:
             ["report", "--threads", "2"],
             ["correlate", "--kind", "musquared", "--x", "100", "--shift", "1",
              "--threads", "2"],
+            # The payload follows the kind; sieve has no --mode either.
+            ["sieve", "--kind", "musquared", "--limit", "100", "--mode", "floating"],
         ],
     )
     def test_no_thread_flag(self, capsys, argv):
@@ -124,14 +126,6 @@ class TestSieve:
         assert table.header == ("n", "value")
         assert table.rows == ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1))
 
-    def test_floating_mode_on_integer_kind(self, capsys):
-        code, out, _ = run(
-            capsys, "sieve", "--kind", "musquared", "--limit", "100",
-            "--mode", "floating",
-        )
-        assert code == 0
-        assert "mode=floating sum=61" in out
-
 
 class TestIdentityCheck:
     def test_exact_kind(self, capsys):
@@ -147,7 +141,7 @@ class TestIdentityCheck:
 
     def test_mismatch_is_exit_2(self, capsys, monkeypatch):
         def mismatch(table, x, tolerance, oracle_cap):
-            return IdentityCheckResult(7, 8, False, table.mode)
+            return IdentityCheckResult(7, 8, False, table.is_exact)
 
         monkeypatch.setattr(cli, "identity_check", mismatch)
         code, out, err = run(capsys, "identity-check", "--kind", "divisor", "--x", "10")
@@ -195,9 +189,9 @@ class TestCorrelate:
     def test_type2_and_shifts_share_one_table(self, capsys, monkeypatch):
         calls = []
 
-        def recording(kind, limit, shift_headroom=0, **kwargs):
+        def recording(kind, limit, shift_headroom=0):
             calls.append((limit, shift_headroom))
-            return build_table(kind, limit, shift_headroom, **kwargs)
+            return build_table(kind, limit, shift_headroom)
 
         monkeypatch.setattr(cli, "build_table", recording)
         code, out, _ = run(
@@ -217,7 +211,7 @@ class TestConstants:
     def test_line(self, capsys):
         code, out, _ = run(capsys, "constants", "--kind", "one", "--x", "10")
         assert code == 0
-        for token in ("c_min=", "c_max=", "local_density=", "d_of_x=", "diagonal_ratio="):
+        for token in ("c_min=", "local_density=", "d_of_x=", "diagonal_ratio="):
             assert token in out
 
     def test_csv(self, capsys, tmp_path):
@@ -230,11 +224,10 @@ class TestConstants:
         assert out.splitlines()[1] == f"wrote {out_file}"
         table = read_csv(out_file)
         assert table.header == (
-            "kind", "x", "shift", "c_min", "c_max", "local_density", "d_of_x",
-            "diagonal_ratio",
+            "kind", "x", "shift", "c_min", "local_density", "d_of_x", "diagonal_ratio",
         )
         assert table.rows == (
-            ("one", 10, 1, 0.45, 0.45, float(Fraction(2, 9)), float(Fraction(8, 9)),
+            ("one", 10, 1, 0.45, float(Fraction(2, 9)), float(Fraction(8, 9)),
              float(Fraction(41, 45))),
         )
 
@@ -369,32 +362,19 @@ class TestReport:
         corr = read_csv(tmp_path / "out" / "correlations.csv")
         assert {row[0] for row in corr.rows} == {"musquared"}
 
-    def test_floating_payload_mode(self, capsys, tmp_path, monkeypatch):
-        modes = []
-
-        def recording(kind, limit, shift_headroom=0, *, mode=None):
-            modes.append(mode)
-            return build_table(kind, limit, shift_headroom, mode=mode)
-
-        monkeypatch.setattr(cli, "build_table", recording)
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(
-            "x_grid = 100,1000\nkinds = divisor\nclaims = cor6.4-musq\n"
-            "payload_mode = floating\n"
-        )
-        code, _, _ = run(
-            capsys, "report", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
-            "--no-svg",
-        )
-        assert code == 0
-        assert modes == [PayloadMode.FLOATING]
-        # CSV cells print these whole sums without a point; JSON keeps them floats.
-        doc = json.loads((tmp_path / "out" / "report.json").read_text())
-        rows = doc["tables"]["correlations"]["rows"]
-        assert [row[0] for row in rows] == ["divisor2", "divisor2"]
-        assert all(isinstance(row[3], float) for row in rows)
-        corr = read_csv(tmp_path / "out" / "correlations.csv")
-        assert [row[3] for row in corr.rows] == [row[3] for row in rows]
+    def test_floating_payload_mode(self, capsys, tmp_path):
+        # Integer kinds are always exact, so payload_mode accepts only auto.
+        out = tmp_path / "out"
+        out.mkdir()
+        for mode in ("floating", "exact"):
+            cfg = tmp_path / f"{mode}.cfg"
+            cfg.write_text(f"kinds = divisor\npayload_mode = {mode}\n")
+            code, _, err = run(
+                capsys, "report", "--config", str(cfg), "--out-dir", str(out)
+            )
+            assert code == 1
+            assert err == f"error: code=USAGE payload_mode must be auto, got {mode}\n"
+        assert list(out.iterdir()) == []
 
     def test_missing_config_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "report", "--config", str(tmp_path / "nope.cfg"))

@@ -71,6 +71,8 @@ class TestExperimentConfig:
             {"divisor_order": 1},
             {"payload_mode": "purple"},
             {"oracle_cap": 0},
+            {"payload_mode": "floating"},
+            {"payload_mode": "exact"},
         ],
     )
     def test_validate_rejects(self, override):

@@ -25,7 +25,6 @@ from corrlab import (
     BudgetExceeded,
     FunctionKind,
     FunctionTable,
-    PayloadMode,
     RangeError,
     SequencePair,
     bilinear_rhs,
@@ -45,7 +44,7 @@ class TestGeneralAreaIdentity:
         res = general_area_identity(SequencePair([1, 1], [1, 1]))
         assert res.lhs == res.rhs == 1
         assert res.equal
-        assert res.mode is PayloadMode.EXACT
+        assert res.exact
 
     def test_single_element_is_empty_sum(self):
         res = general_area_identity(SequencePair([5], [7]))
@@ -56,7 +55,7 @@ class TestGeneralAreaIdentity:
         r = [0.5, -1.25, 3.0, 2.5]
         h = [1.0, 0.25, -2.0, 4.0]
         res = general_area_identity(SequencePair(r, h))
-        assert res.mode is PayloadMode.FLOATING
+        assert not res.exact
         assert res.equal
         assert res.lhs == pytest.approx(res.rhs, rel=1e-12)
 
@@ -86,7 +85,7 @@ class TestGeneralAreaIdentity:
 
     def test_python_ints_past_int64_stay_exact(self):
         res = general_area_identity(SequencePair([2**70, 1, 3], [1, 2**70, 5]))
-        assert res.mode is PayloadMode.EXACT
+        assert res.exact
         assert res.lhs == res.rhs == 1180591620717411303439
         assert res.equal
 
@@ -100,7 +99,7 @@ class TestGeneralAreaIdentity:
         if as_array:
             r, h = np.array(r, dtype=np.uint64), np.array(h, dtype=np.uint64)
         res = general_area_identity(SequencePair(r, h))
-        assert res.mode is PayloadMode.EXACT
+        assert res.exact
         assert res.lhs == res.rhs == lhs
         assert res.equal
 
@@ -249,7 +248,7 @@ class TestIdentityCheck:
         t = build_table(kind, 500)
         res = identity_check(t, 500)
         assert res.equal
-        if t.mode is PayloadMode.EXACT:
+        if t.is_exact:
             assert res.lhs == res.rhs
 
     def test_non_negative_for_non_negative_tables(self):

@@ -24,12 +24,12 @@ from corrlab import (
     VON_MANGOLDT,
     FunctionKind,
     FunctionTable,
-    PayloadMode,
     RangeError,
     UnsupportedKind,
     build_table,
     mean_value_reference,
     prefix_sums,
+    type1,
 )
 from corrlab import _sieves
 
@@ -178,7 +178,7 @@ class TestConstantOne:
     def test_all_ones(self):
         t = build_table(CONSTANT_ONE, 50)
         assert all(t.value(n) == 1 for n in range(1, 51))
-        assert t.mode is PayloadMode.EXACT
+        assert t.is_exact
 
 
 # -- every sieved kind against a factorisation oracle ------------------------
@@ -304,12 +304,6 @@ class TestBuildTable:
         with pytest.raises(ValueError):
             build_table(CONSTANT_ONE, 10, -1)
 
-    def test_rejects_exact_mode_for_real_valued(self):
-        with pytest.raises(UnsupportedKind):
-            build_table(VON_MANGOLDT, 10, mode=PayloadMode.EXACT)
-        with pytest.raises(UnsupportedKind):
-            build_table(MASTER_UPSILON, 10, mode=PayloadMode.EXACT)
-
     def test_rejects_custom_kind(self):
         with pytest.raises(UnsupportedKind):
             build_table(FunctionKind.custom("mine"), 10)
@@ -323,11 +317,6 @@ class TestBuildTable:
             t.value(16)
         with pytest.raises(RangeError):
             t.value(0)
-
-    def test_float_mode_for_integer_kind(self):
-        t = build_table(MU_SQUARED, 20, mode=PayloadMode.FLOATING)
-        assert t.mode is PayloadMode.FLOATING
-        assert isinstance(t.value(4), float)
 
     def test_values_read_only(self):
         t = build_table(CONSTANT_ONE, 10)
@@ -358,22 +347,30 @@ class TestBuildTable:
             np.array([2**62, -5, 3], dtype=object),
         ):
             t = FunctionTable.from_values("fits", values)
-            assert t.mode is PayloadMode.EXACT and t.values.dtype == np.int64
+            assert t.is_exact and t.values.dtype == np.int64
             assert t.values.tolist() == [int(v) for v in values]
+
+    def test_float_values_make_a_floating_table(self):
+        # The dtype is the payload: float64 values are never read as integers.
+        values = np.array([0.5, 1.5, 2.5, 3.5, 4.5])
+        t = FunctionTable(FunctionKind.custom("x"), 4, 1, values=values)
+        assert not t.is_exact
+        assert t.value(1) == 0.5
+        # 0.5·1.5 + 1.5·2.5 + 2.5·3.5 + 3.5·4.5
+        assert type1(t, 4, 1).value == 29.0
 
     @pytest.mark.parametrize(
         "values",
-        [[0.5, 1.7, -2.9], [1.0, math.nan], [1.0, -math.inf], [1e19, 1.0]],
-        ids=["fractions", "nan", "inf", "past-int64"],
+        [
+            np.arange(1, 6, dtype=np.int32),
+            np.ones(5, dtype=bool),
+            np.array([1, 2, 3, 4, 5], dtype=object),
+        ],
+        ids=["int32", "bool", "object"],
     )
-    def test_from_values_refuses_non_integers_in_exact_mode(self, values):
-        # Each would have been truncated or wrapped into an exact table.
-        with pytest.raises(ValueError, match="^odd: exact values must be"):
-            FunctionTable.from_values("odd", values, mode=PayloadMode.EXACT)
-
-    def test_from_values_keeps_integral_floats_in_exact_mode(self):
-        t = FunctionTable.from_values("whole", [1.0, 2.0, -3.0], mode=PayloadMode.EXACT)
-        assert t.values.dtype == np.int64 and t.values.tolist() == [1, 2, -3]
+    def test_refuses_dtypes_other_than_int64_and_float64(self, values):
+        with pytest.raises(ValueError, match="int64 or float64"):
+            FunctionTable(FunctionKind.custom("x"), 5, 0, values=values)
 
 
 class TestPrefixSums:
@@ -386,7 +383,7 @@ class TestPrefixSums:
         assert ps.s(0) == 0
         for n in range(1, 501):
             diff = ps.s(n) - ps.s(n - 1)
-            if t.mode is PayloadMode.EXACT:
+            if t.is_exact:
                 assert diff == t.value(n), n
             else:
                 assert diff == pytest.approx(t.value(n), abs=1e-9), n
@@ -448,7 +445,16 @@ class TestFunctionKind:
             FunctionKind.divisor(1)
 
     def test_integer_valuedness(self):
-        assert MU_SQUARED.integer_valued
-        assert LIOUVILLE.integer_valued
-        assert not VON_MANGOLDT.integer_valued
-        assert not MASTER_UPSILON.integer_valued
+        # The sieve's dtype decides the payload: exact for every integer kind.
+        exact = {kind.label: build_table(kind, 10).is_exact for kind in ALL_KINDS}
+        assert exact == {
+            "one": True,
+            "vonmangoldt": False,
+            "eulerphi": True,
+            "musquared": True,
+            "liouville": True,
+            "bigomega": True,
+            "masterupsilon": False,
+            "divisor2": True,
+            "divisor3": True,
+        }

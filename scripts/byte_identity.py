@@ -32,6 +32,9 @@ INVOCATIONS = (
      "--out", "const.csv"],
     ["constants", "--kind", "vonmangoldt", "--x", "100000", "--shift", "2",
      "--out", "const.csv"],
+    # Float type-2 fields beyond Λ; then an empty type-2 sum, so d_of_x is 0.
+    ["constants", "--kind", "masterupsilon", "--x", "100000", "--shift", "2"],
+    ["constants", "--kind", "musquared", "--x", "2", "--shift", "1"],
     ["sieve", "--kind", "divisor3", "--limit", "2000", "--headroom", "2",
      "--out", "table.csv"],
     # Spans of 600064 cross the factor pass's window edges at 2^18 and 2^19.

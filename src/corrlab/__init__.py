@@ -15,13 +15,9 @@ from .constants import (
     ClaimReport,
     ClaimSettings,
     DensityEstimate,
-    c_min,
-    d_of_x,
     density_estimate,
-    diagonal_ratio,
     evaluate_claim,
     evaluate_claims,
-    local_density,
 )
 from .correlation import (
     CorrelationResult,
@@ -113,10 +109,7 @@ __all__ = [
     "bilinear_rhs",
     "bounds_table",
     "build_table",
-    "c_min",
-    "d_of_x",
     "density_estimate",
-    "diagonal_ratio",
     "difference_histogram",
     "double_sum_lhs_oracle",
     "evaluate_claim",
@@ -125,7 +118,6 @@ __all__ = [
     "general_area_identity",
     "heuristic_Mn",
     "identity_check",
-    "local_density",
     "mean_value_reference",
     "pair_sum_closed_form",
     "prefix_sums",

@@ -192,15 +192,14 @@ def _cmd_constants(args) -> int:
     kind = FunctionKind.parse(args.kind)
     table = build_table(kind, args.x, args.shift)
     est = consts.density_estimate(table, args.x, args.shift)
-    ratio = consts.diagonal_ratio(table, args.x)
     fields = {
         "kind": kind.label,
         "x": args.x,
         "shift": args.shift,
         "c_min": est.c_min,
         "local_density": est.local_density,
-        "d_of_x": consts.d_of_x(table, args.x),
-        "diagonal_ratio": ratio,
+        "d_of_x": est.d_of_x,
+        "diagonal_ratio": est.diagonal_ratio,
     }
     header, row = tuple(fields), tuple(fields.values())
     print(_key_values(header, row))

@@ -5,11 +5,16 @@ correlation ≍ D · (mean-value term),  where C and D are implicit constants
 the source statements treat as fixed.  At desk scale they are functions of
 x, so this module measures them pointwise:
 
-* ``c_min``        — smallest C making the shifted-correlation lower bound
-                     hold at this x (and the largest admissible C for the
-                     inverted upper-bound reading: the two coincide).
-* ``local_density``— the single-shift share of the full bilinear form.
-* ``d_of_x``       — the type-2 share, scaled to [0, x].
+:func:`density_estimate` returns them as the fields of one
+:class:`DensityEstimate`:
+
+* ``c_min``         — smallest C making the shifted-correlation lower bound
+                      hold at this x, bilinear / (x · type1) (and the largest
+                      admissible C for the inverted upper-bound reading: the
+                      two coincide).
+* ``local_density`` — the single-shift share of the bilinear form,
+                      type1 / bilinear.
+* ``d_of_x``        — the type-2 share scaled to [0, x], x · type2 / bilinear.
 * ``diagonal_ratio``— the share the type-2 diagonal leaves, 1 − type2/bilinear.
 
 C is formed in :func:`_c_ratio` and every share in :func:`_share`, for these
@@ -50,8 +55,9 @@ from .tables import (
 class DensityEstimate:
     """The measured constants for one (kind, x, shift) cell.
 
-    ``d_ratio`` is the type-2 share D(x)/x and does not depend on the shift;
-    it is populated whenever x >= 2.
+    ``c_min`` · ``local_density`` · x = 1, and ``d_of_x``/x +
+    ``diagonal_ratio`` = 1: exactly for exact payloads, to rounding for
+    floating ones.  The type-2 fields do not depend on the shift.
     """
 
     kind: FunctionKind
@@ -59,7 +65,8 @@ class DensityEstimate:
     shift: int
     c_min: Fraction | float
     local_density: Fraction | float
-    d_ratio: Fraction | float | None = None
+    d_of_x: Fraction | float
+    diagonal_ratio: Fraction | float
 
 
 def _ratio(table: FunctionTable, num, den) -> Fraction | float:
@@ -88,65 +95,28 @@ def _share(table: FunctionTable, x: int, part, b) -> Fraction | float:
     return _ratio(table, part, b)
 
 
-def c_min(table: FunctionTable, x: int, l: int) -> Fraction | float:
-    """Smallest admissible C at this x: bilinear(x) / (x · type1(x, l)).
-
-    The shifted-correlation lower bound  type1 >= bilinear / (C·x)  holds
-    exactly at C = c_min and for every larger C.  Requires a positive
-    correlation, which is the bound's own hypothesis.
-    """
-    return _c_ratio(table, x, l, type1(table, x, l).value, bilinear_rhs(table, x))
-
-
-def local_density(table: FunctionTable, x: int, l: int) -> Fraction | float:
-    """Share of the bilinear form carried by one shift: type1 / bilinear.
-
-    Satisfies c_min · local_density · x = 1 exactly wherever both sides are
-    defined.
-    """
-    b = bilinear_rhs(table, x)
-    return _share(table, x, type1(table, x, l).value, b)
-
-
-def d_of_x(table: FunctionTable, x: int) -> Fraction | float:
-    """Type-2 share scaled to [0, x]:  x · type2(x) / bilinear(x).
-
-    Complements the off-diagonal split exactly: d_of_x/x plus the
-    off-diagonal ratio equals 1.
-    """
-    b = bilinear_rhs(table, x)
-    return _share(table, x, x * type2(table, x).value, b)
-
-
-def diagonal_ratio(table: FunctionTable, x: int) -> Fraction | float:
-    """Fraction of the bilinear form NOT hit by the type-2 diagonal:
-    1 − type2(x)/bilinear(x).
-
-    Exact payloads return an exact Fraction so downstream partition checks
-    can demand literal equality; floating payloads return a float.
-    """
-    b = bilinear_rhs(table, x)
-    return 1 - _share(table, x, type2(table, x).value, b)
-
-
 def density_estimate(table: FunctionTable, x: int, l: int) -> DensityEstimate:
-    """Bundle c_min, local_density, and (for x >= 2) d_ratio.
+    """The measured constants at (x, l), from one type-1 sum, one bilinear
+    form and one type-2 sum.
 
-    Each of type1, bilinear and type2 is computed once and shared.
+    Needs the table built with headroom >= l.  Refused with
+    ZeroCorrelation unless type1(x, l) is positive, the bounds' own
+    hypothesis, and then with DegenerateSum when the bilinear form
+    vanishes, as it does at x = 1.
     """
     t1 = type1(table, x, l).value
     b = bilinear_rhs(table, x)
     c = _c_ratio(table, x, l, t1, b)
-    d_ratio = None
-    if x >= 2:
-        d_ratio = _share(table, x, x * type2(table, x).value, b) / x
+    local = _share(table, x, t1, b)
+    t2 = type2(table, x).value  # x >= 2 once the form is nonzero
     return DensityEstimate(
         kind=table.kind,
         x=x,
         shift=l,
         c_min=c,
-        local_density=_share(table, x, t1, b),
-        d_ratio=d_ratio,
+        local_density=local,
+        d_of_x=_share(table, x, x * t2, b),
+        diagonal_ratio=1 - _share(table, x, t2, b),
     )
 
 

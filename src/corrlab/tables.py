@@ -31,10 +31,11 @@ def _as_values(values) -> np.ndarray:
 
 
 def _integer_valued(a: np.ndarray) -> bool:
-    """Whether ``a`` has an integer dtype or holds only Python ints."""
+    """Whether ``a`` holds integers: a bool or integer dtype, or only Python
+    ints.  :func:`_exact_operand` takes each of them without loss."""
     if a.dtype == object:
         return all(isinstance(v, int) for v in a.tolist())
-    return np.issubdtype(a.dtype, np.integer)
+    return a.dtype.kind in "biu"
 
 
 class Variant(Enum):
@@ -243,11 +244,12 @@ def _check_range(table: FunctionTable, x: int) -> None:
 class PrefixSums:
     """Cumulative sums S(n) = sum of f(m) for m <= n, with S(0) = 0.
 
-    Sums are exact (int64, or Python ints past int64) unless they are
-    float64.  ``_sum_bits`` bounds the bit length of every |S(n)| of exact
-    sums (None for float sums).  :func:`prefix_sums` records
-    bits(f) + limit.bit_length() without reading the sums; when it is not
-    given for int64 sums, it is measured once.
+    Sums are exact (int64, or Python ints past int64 in an object array)
+    or float64; any other dtype is refused.  ``_sum_bits`` bounds the bit
+    length of every |S(n)| of exact sums (None for float sums).
+    :func:`prefix_sums` records bits(f) + limit.bit_length() without
+    reading the sums; when it is not given for int64 sums, it is measured
+    once.
     """
 
     kind: FunctionKind
@@ -258,6 +260,11 @@ class PrefixSums:
     def __post_init__(self) -> None:
         if self.sums.shape != (self.limit + 1,):
             raise ValueError("prefix array length must be limit + 1")
+        if self.sums.dtype not in (np.int64, object, np.float64):
+            raise ValueError(
+                "prefix sums dtype must be int64, object or float64, "
+                f"got {self.sums.dtype}"
+            )
         self.sums.setflags(write=False)
         object.__setattr__(self, "sums", self.sums.view())
         if self._sum_bits is None and self.sums.dtype == np.int64:

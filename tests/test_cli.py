@@ -232,6 +232,21 @@ class TestConstants:
         )
 
 
+    def test_forms_each_sum_once(self, capsys, monkeypatch):
+        calls = []
+        for name in ("type1", "bilinear_rhs", "type2"):
+            real = getattr(constants, name)
+
+            def recording(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(constants, name, recording)
+        code, _, _ = run(capsys, "constants", "--kind", "one", "--x", "10")
+        assert code == 0
+        assert sorted(calls) == ["bilinear_rhs", "type1", "type2"]
+
+
 class TestClaims:
     def test_small_run_writes_files(self, capsys, tmp_path):
         code, out, _ = run(

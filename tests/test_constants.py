@@ -22,14 +22,11 @@ from corrlab import (
     ZeroCorrelation,
     bilinear_rhs,
     build_table,
-    c_min,
-    d_of_x,
     density_estimate,
-    diagonal_ratio,
     evaluate_claim,
     evaluate_claims,
-    local_density,
     type1,
+    type2,
 )
 from corrlab import constants
 from corrlab.report import CLAIM_HEADER, render_csv
@@ -38,16 +35,18 @@ from corrlab.report import CLAIM_HEADER, render_csv
 class TestCMin:
     def test_constant_one_example(self):
         t = build_table(CONSTANT_ONE, 20, 1)
-        assert c_min(t, 5, 1) == Fraction(2, 5)
+        assert density_estimate(t, 5, 1).c_min == Fraction(2, 5)
 
     def test_musquared_example(self):
         t = build_table(MU_SQUARED, 20, 1)
-        assert c_min(t, 8, 1) == Fraction(15, 32)
+        assert density_estimate(t, 8, 1).c_min == Fraction(15, 32)
 
     def test_zero_correlation_raises(self):
-        t = FunctionTable.from_values("point", [1, 0, 0, 0, 0])
-        with pytest.raises(ZeroCorrelation):
-            c_min(t, 4, 1)
+        # λ's correlation at shift 1 is negative at x = 10; its form is not 0.
+        t = build_table(LIOUVILLE, 10, 1)
+        assert bilinear_rhs(t, 10) != 0
+        with pytest.raises(ZeroCorrelation, match="shift=1 is -4;"):
+            density_estimate(t, 10, 1)
 
 
 class TestLocalDensity:
@@ -55,69 +54,74 @@ class TestLocalDensity:
         # For the all-ones table: type1 = x, bilinear = x(x-1)/2.
         for x in range(3, 101):
             t = build_table(CONSTANT_ONE, x, 1)
-            assert local_density(t, x, 1) == Fraction(2, x - 1)
+            assert density_estimate(t, x, 1).local_density == Fraction(2, x - 1)
 
     def test_reciprocal_identity_exact(self):
         # c_min * local_density * x == 1 by construction, exactly.
         t = build_table(MU_SQUARED, 500, 3)
         for x, l in ((10, 1), (100, 2), (500, 3)):
-            assert c_min(t, x, l) * local_density(t, x, l) * x == 1
+            est = density_estimate(t, x, l)
+            assert est.c_min * est.local_density * x == 1
 
     def test_reciprocal_identity_float(self):
         t = build_table(VON_MANGOLDT, 1000, 2)
-        prod = c_min(t, 1000, 2) * local_density(t, 1000, 2) * 1000
-        assert prod == pytest.approx(1.0, rel=1e-12)
+        est = density_estimate(t, 1000, 2)
+        assert est.c_min * est.local_density * 1000 == pytest.approx(1.0, rel=1e-12)
 
 
 class TestDOfX:
     def test_constant_one_example(self):
-        t = build_table(CONSTANT_ONE, 20)
-        assert d_of_x(t, 10) == Fraction(8, 9)
+        t = build_table(CONSTANT_ONE, 20, 1)
+        assert density_estimate(t, 10, 1).d_of_x == Fraction(8, 9)
 
     def test_partition_identity(self):
         # d(x)/x + diagonal_ratio(x) == 1: the representation share and the
         # off-representation share split the bilinear mass.
-        t = build_table(MU_SQUARED, 300)
+        t = build_table(MU_SQUARED, 300, 1)
         for x in range(2, 301, 7):
-            assert d_of_x(t, x) / x + diagonal_ratio(t, x) == 1
+            est = density_estimate(t, x, 1)
+            assert est.d_of_x / x + est.diagonal_ratio == 1
 
     def test_partition_identity_float(self):
-        t = build_table(VON_MANGOLDT, 500)
+        t = build_table(VON_MANGOLDT, 500, 1)
         for x in (10, 100, 500):
-            total = d_of_x(t, x) / x + diagonal_ratio(t, x)
-            assert total == pytest.approx(1.0, rel=1e-12)
+            est = density_estimate(t, x, 1)
+            assert est.d_of_x / x + est.diagonal_ratio == pytest.approx(1.0, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "share",
-        [lambda t: local_density(t, 4, 1), lambda t: d_of_x(t, 4),
-         lambda t: diagonal_ratio(t, 4)],
-        ids=["local_density", "d_of_x", "diagonal_ratio"],
-    )
+    @pytest.mark.parametrize("share", ["local_density", "d_of_x", "diagonal_ratio"])
     def test_every_share_refuses_a_vanishing_form(self, share):
-        t = FunctionTable.from_values("point", [1, 0, 0, 0, 0], shift_headroom=1)
+        # The bilinear form is an empty sum at x = 1: no estimate, so no
+        # share, is returned.
+        t = build_table(CONSTANT_ONE, 5, 1)
         with pytest.raises(DegenerateSum) as info:
-            share(t)
-        assert str(info.value) == "custom:point: bilinear form vanishes at x=4"
+            getattr(density_estimate(t, 1, 1), share)
+        assert str(info.value) == "one: bilinear form vanishes at x=1"
 
 
 class TestDensityEstimate:
     def test_bundles_match_components(self):
         t = build_table(MU_SQUARED, 100, 1)
+        t1, b, t2 = type1(t, 80, 1).value, bilinear_rhs(t, 80), type2(t, 80).value
         est = density_estimate(t, 80, 1)
-        assert est.c_min == c_min(t, 80, 1)
-        assert est.local_density == local_density(t, 80, 1)
-        assert est.d_ratio == d_of_x(t, 80) / 80
+        assert est.c_min == Fraction(b, 80 * t1)
+        assert est.local_density == Fraction(t1, b)
+        assert est.d_of_x == Fraction(80 * t2, b)
+        assert est.diagonal_ratio == 1 - Fraction(t2, b)
         assert est.kind == t.kind
         assert (est.x, est.shift) == (80, 1)
 
     def test_float_bundle_equals_components_bit_for_bit(self):
         t = build_table(VON_MANGOLDT, 1000, 2)
+        t1, b, t2 = type1(t, 1000, 2).value, bilinear_rhs(t, 1000), type2(t, 1000).value
         est = density_estimate(t, 1000, 2)
-        assert est.c_min == c_min(t, 1000, 2)
-        assert est.local_density == local_density(t, 1000, 2)
-        assert est.d_ratio == d_of_x(t, 1000) / 1000
+        assert est.c_min == b / (1000 * t1)
+        assert est.local_density == t1 / b
+        assert est.d_of_x == 1000 * t2 / b
+        assert est.diagonal_ratio == 1 - t2 / b
 
     def test_zero_correlation_raises(self):
+        # Type-1 and the bilinear form both vanish: the zero correlation is
+        # named first.
         t = FunctionTable.from_values("point", [1, 0, 0, 0, 0])
         with pytest.raises(ZeroCorrelation):
             density_estimate(t, 4, 1)
@@ -320,14 +324,14 @@ class TestMeasuredConstantConsistency:
         x, l = 1000, 2
         t = build_table(VON_MANGOLDT, x, l)
         rep = evaluate_claim("thm3.1-twin", [100, x, 10000], ClaimSettings(shift=2))
-        c = c_min(t, x, l)
+        c = density_estimate(t, x, l).c_min
         assert rep.constant[1] == pytest.approx(float(c), rel=1e-12)
         assert rep.bound[1] == pytest.approx(x / (2 * float(c)), rel=1e-12)
         assert rep.computed[1] == pytest.approx(type1(t, x, l).value, rel=1e-12)
 
     def test_constants_equal_the_public_functions(self):
         # evaluate_claim reuses its computed sum for the constant; the result
-        # must be exactly what c_min and d_of_x return.
+        # must be exactly the density estimate's c_min and d_of_x.
         grid = [100, 1000]
         twin = evaluate_claim("thm3.1-twin", grid, ClaimSettings(shift=2))
         musq = evaluate_claim("cor6.4-musq", grid)
@@ -335,6 +339,6 @@ class TestMeasuredConstantConsistency:
         lam = build_table(VON_MANGOLDT, 1000, 2)
         mu = build_table(MU_SQUARED, 1000, 1)
         for i, x in enumerate(grid):
-            assert twin.constant[i] == float(c_min(lam, x, 2))
-            assert musq.constant[i] == float(c_min(mu, x, 1))
-            assert goldbach.constant[i] == float(d_of_x(lam, x))
+            assert twin.constant[i] == float(density_estimate(lam, x, 2).c_min)
+            assert musq.constant[i] == float(density_estimate(mu, x, 1).c_min)
+            assert goldbach.constant[i] == float(density_estimate(lam, x, 2).d_of_x)

@@ -19,7 +19,7 @@ from corrlab import (
     RangeError,
     bilinear_rhs,
     build_table,
-    diagonal_ratio,
+    density_estimate,
     type1,
     type1_sweep,
     type2,
@@ -321,15 +321,16 @@ class TestShiftDecomposition:
 
 class TestDiagonalRatio:
     def test_constant_one_exact_value(self):
-        t = build_table(CONSTANT_ONE, 20)
-        assert diagonal_ratio(t, 10) == Fraction(41, 45)
+        t = build_table(CONSTANT_ONE, 20, 1)
+        assert density_estimate(t, 10, 1).diagonal_ratio == Fraction(41, 45)
 
     def test_von_mangoldt_in_unit_interval(self):
-        t = build_table(VON_MANGOLDT, 100)
-        r = diagonal_ratio(t, 100)
+        t = build_table(VON_MANGOLDT, 100, 1)
+        r = density_estimate(t, 100, 1).diagonal_ratio
         assert 0.0 < r < 1.0
 
     def test_degenerate(self):
-        t = FunctionTable.from_values("point", [1, 0, 0, 0])
-        with pytest.raises(DegenerateSum):
-            diagonal_ratio(t, 4)
+        # type1(2, 1) = f(2)·f(3) = 1 > 0, but the form f(2)·S(1) vanishes.
+        t = FunctionTable.from_values("point", [0, 1, 1])
+        with pytest.raises(DegenerateSum, match="vanishes at x=2"):
+            density_estimate(t, 2, 1)

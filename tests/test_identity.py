@@ -103,6 +103,14 @@ class TestGeneralAreaIdentity:
         assert res.lhs == res.rhs == lhs
         assert res.equal
 
+    def test_bool_sequences_are_exact(self):
+        r = np.array([True, True, False, True])
+        h = np.array([False, True, True, True])
+        res = general_area_identity(SequencePair(r, h))
+        assert res.exact
+        assert res.lhs == res.rhs == 2
+        assert res.equal
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             SequencePair([1, 2], [1])

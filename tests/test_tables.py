@@ -24,6 +24,7 @@ from corrlab import (
     VON_MANGOLDT,
     FunctionKind,
     FunctionTable,
+    PrefixSums,
     RangeError,
     UnsupportedKind,
     build_table,
@@ -345,6 +346,7 @@ class TestBuildTable:
         for values in (
             np.array([2**63 - 1, 0, 3], dtype=np.uint64),
             np.array([2**62, -5, 3], dtype=object),
+            np.array([True, False, True]),
         ):
             t = FunctionTable.from_values("fits", values)
             assert t.is_exact and t.values.dtype == np.int64
@@ -394,6 +396,19 @@ class TestPrefixSums:
             ps.s(11)
         with pytest.raises(RangeError):
             ps.s(-1)
+
+    @pytest.mark.parametrize(
+        "sums",
+        [
+            np.array([0, 0.5, 1.5], dtype=np.float32),
+            np.array([0, 1, 2], dtype=np.int32),
+            np.array([False, True, True]),
+        ],
+        ids=["float32", "int32", "bool"],
+    )
+    def test_refuses_dtypes_other_than_int64_object_and_float64(self, sums):
+        with pytest.raises(ValueError, match="int64, object or float64"):
+            PrefixSums(CONSTANT_ONE, 2, sums)
 
 
 class TestMeanValueReference:

@@ -19,8 +19,7 @@ blockwise ``numpy`` kernels with ``math.fsum`` across block totals.
 Long operands are walked in chunks of ``_CHUNK`` entries.  Two int64 chunks
 take 1 MiB, which fits in a core's L2 cache, so every pass a kernel makes
 over a chunk after the first (products, nonzero masks, the term counts of
-:func:`counted_dot` and :func:`counted_shift_dots`) reads from cache instead
-of from RAM.
+:func:`counted_dots`) reads from cache instead of from RAM.
 """
 
 from __future__ import annotations
@@ -126,68 +125,46 @@ def exact_dot(
     return total
 
 
-def counted_dot(
-    a: np.ndarray, b: np.ndarray, bits: int | None
-) -> tuple[int | float, int]:
-    """Dot product and count of the nonzero products, in one pass.
+def counted_dots(
+    a: np.ndarray, b: np.ndarray, n: int, offsets: Sequence[int], bits: int | None
+) -> list[tuple[int | float, int]]:
+    """Dot product of ``a[:n]`` with ``b[o : o + n]``, and the count of its
+    nonzero products, for each offset o, in input order.
 
     For int64 operands ``bits`` bounds the bit length of every |a[i]| and
-    |b[i]| (a table records it once, so no chunk is scanned for it) and the
-    value is exact, as :func:`exact_dot`; ``None`` marks float operands,
-    whose value equals :func:`compensated_dot`.  Each chunk of both operands
-    is read from memory once and then counted and multiplied while it is in
-    cache.  The count is the number of i with a[i] and b[i] both nonzero
-    (-0.0 counts as zero).
+    |b[i]| (a table records it once, so no window is scanned for it) and
+    each value is exact, as :func:`exact_dot`; ``None`` marks float
+    operands, whose values equal :func:`compensated_dot`.  The count is the
+    number of products with both factors nonzero (-0.0 counts as zero).
+
+    One walk reads each window of ``_CHUNK`` entries of ``a``, and of ``b``
+    plus a max(offsets) tail, from memory once; every offset's dot product
+    and term count then read it from cache, and all offsets share the
+    window's two nonzero masks.
     """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if not offsets:
+        return []
+    reach = max(offsets)
+    if min(offsets) < 0 or a.size < n or b.size < n + reach:
+        raise ValueError(f"offsets {list(offsets)} read past the operands at n={n}")
     exact = bits is not None
     dtype = np.int64 if exact else np.float64
-    total, partials, terms = 0, [], 0
-    for start in range(0, a.size, _CHUNK):
-        stop = start + _CHUNK
+    totals = [0] * len(offsets)
+    partials: list[list[float]] = [[] for _ in offsets]
+    terms = [0] * len(offsets)
+    for start in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - start)
         # A reversed view is copied once here, so every np.dot below gets
         # contiguous blocks, as compensated_dot gives it.
-        x = np.ascontiguousarray(a[start:stop], dtype=dtype)
-        y = np.ascontiguousarray(b[start:stop], dtype=dtype)
-        terms += int(np.count_nonzero(np.logical_and(x, y)))
-        if exact:
-            total += _dot_exact_core(x, y, bits, bits)
-        else:
-            partials += _block_dots(x, y)
-    return (total if exact else math.fsum(partials)), terms
-
-
-def counted_shift_dots(
-    values: np.ndarray, x: int, shifts: Sequence[int], bits: int | None
-) -> list[tuple[int | float, int]]:
-    """:func:`counted_dot` of ``values[:x]`` with ``values[l : l + x]`` for
-    every shift l, in input order, from one walk over the values.
-
-    Each window of ``_CHUNK`` entries, plus a max(shifts) tail, is read from
-    memory once; every shift's dot product and term count then read it from
-    cache, and all shifts share the window's one nonzero mask.  ``bits`` is
-    as for :func:`counted_dot`.
-    """
-    if not shifts:
-        return []
-    exact = bits is not None
-    values = np.ascontiguousarray(values, dtype=np.int64 if exact else np.float64)
-    reach = max(shifts)
-    totals = [0] * len(shifts)
-    partials: list[list[float]] = [[] for _ in shifts]
-    terms = [0] * len(shifts)
-    for start in range(0, x, _CHUNK):
-        n = min(_CHUNK, x - start)
-        window = values[start : start + n + reach]
-        nonzero = window != 0
-        head, head_nonzero = window[:n], nonzero[:n]
-        for i, l in enumerate(shifts):
-            terms[i] += int(np.count_nonzero(head_nonzero & nonzero[l : l + n]))
+        head = np.ascontiguousarray(a[start : start + m], dtype=dtype)
+        window = np.ascontiguousarray(b[start : start + m + reach], dtype=dtype)
+        head_nonzero, nonzero = head != 0, window != 0
+        for i, o in enumerate(offsets):
+            terms[i] += int(np.count_nonzero(head_nonzero & nonzero[o : o + m]))
             if exact:
-                totals[i] += _dot_exact_core(head, window[l : l + n], bits, bits)
+                totals[i] += _dot_exact_core(head, window[o : o + m], bits, bits)
             else:
-                partials[i] += _block_dots(head, window[l : l + n])
+                partials[i] += _block_dots(head, window[o : o + m])
     if not exact:
         totals = [math.fsum(p) for p in partials]
     return list(zip(totals, terms))

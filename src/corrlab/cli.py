@@ -169,9 +169,9 @@ def _cmd_identity_check(args) -> int:
 
 def _cmd_correlate(args) -> int:
     kind = FunctionKind.parse(args.kind)
-    if not args.type2 and not args.shift:
-        raise ValueError("pass --shift L[,L2,...] or --type2")
     shifts = _parse_int_list(args.shift) if args.shift else ()
+    if not args.type2 and not shifts:
+        raise ValueError("pass --shift L[,L2,...] or --type2")
     table = build_table(kind, args.x, max(shifts, default=0))
     results = [type2(table, args.x)] if args.type2 else []
     if shifts:
@@ -262,7 +262,7 @@ def _claims_step(
                 f"{c.claim}: computed vs bound",
                 series,
                 log_x=True,
-                log_y=all(p[1] > 0 and p[2] > 0 for p in finite),
+                log_y=True,
             )
             write_svg(out / f"claim-{c.claim}.svg", svg)
     return bundle

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._accum import counted_dot, counted_shift_dots
+from ._accum import counted_dots
 from .errors import RangeError
 from .tables import FunctionKind, FunctionTable, _check_range
 
@@ -62,10 +62,9 @@ def type2(table: FunctionTable, x: int) -> CorrelationResult:
     _check_range(table, x)
     half = (x - 1) // 2  # last n strictly below x/2
     # The second operand is f(x-n) for n = 1..half, a reversed view.
-    value, terms = counted_dot(
-        table.values[:half],
-        table.values[x - half - 1 : x - 1][::-1],
-        table._value_bits,
+    reversed_view = table.values[x - half - 1 : x - 1][::-1]
+    [(value, terms)] = counted_dots(
+        table.values, reversed_view, half, [0], table._value_bits
     )
     middle = None
     if x % 2 == 0:
@@ -93,7 +92,7 @@ def type1_sweep(
                 f"{table.kind.label}: shift {l} needs f up to {x + l}, but the "
                 f"table covers only 1..{table.span}; rebuild with more headroom"
             )
-    sums = counted_shift_dots(table.values, x, shifts, table._value_bits)
+    sums = counted_dots(table.values, table.values, x, shifts, table._value_bits)
     return [
         CorrelationResult(table.kind, x, l, value, terms)
         for l, (value, terms) in zip(shifts, sums)

@@ -87,7 +87,12 @@ class IdentityCheckResult:
     rhs: int | float
     equal: bool
     exact: bool
-    tolerance: float | None = None
+
+
+def _check_tolerance(tolerance: float) -> None:
+    """Refuse a tolerance that is not a positive finite number."""
+    if not (0 < tolerance < math.inf):
+        raise ValueError(f"tolerance must be a positive finite number, got {tolerance}")
 
 
 def _verdict(lhs, rhs, exact: bool, tolerance: float) -> IdentityCheckResult:
@@ -96,7 +101,7 @@ def _verdict(lhs, rhs, exact: bool, tolerance: float) -> IdentityCheckResult:
     if exact:
         return IdentityCheckResult(lhs, rhs, lhs == rhs, True)
     equal = abs(lhs - rhs) <= tolerance * max(1.0, abs(lhs), abs(rhs))
-    return IdentityCheckResult(lhs, rhs, equal, False, tolerance)
+    return IdentityCheckResult(lhs, rhs, equal, False)
 
 
 def general_area_identity(
@@ -114,6 +119,7 @@ def general_area_identity(
     pairs run the exact kernels, any other pair the compensated float ones;
     at n = 1 every dot product is empty and both sides are 0.
     """
+    _check_tolerance(tolerance)
     r, h, exact = pair.r, pair.h, pair.exact
     if exact:
         dot, prefix = exact_dot, exact_prefix_sums
@@ -225,6 +231,7 @@ def identity_check(
 ) -> IdentityCheckResult:
     """Cross-validate the decomposition: quadratic oracle vs the prefix route
     of the bilinear form (never the closed form, which is a third route)."""
+    _check_tolerance(tolerance)
     lhs = double_sum_lhs_oracle(table, x, oracle_cap)
     rhs = _bilinear_prefix(table, x)
     return _verdict(lhs, rhs, table.is_exact, tolerance)

@@ -178,7 +178,7 @@ def _hist_max_bitmask(mask_a: int, mask_b: int, n: int, abort_above: int) -> int
     return best
 
 
-def bounds_table(n: int, result: "OverlapResult") -> list[BoundRow]:
+def bounds_table(result: "OverlapResult") -> list[BoundRow]:
     """Compare a search result against the published bounds on M(N).
 
     Every catalogued constant is stated for Erdős's M(N), whose halves split
@@ -188,7 +188,7 @@ def bounds_table(n: int, result: "OverlapResult") -> list[BoundRow]:
     ``SMALL_N_EXEMPT``.  The final row's constant is a free parameter > 1,
     so it is reported shape-only.
     """
-    m = result.m
+    n, m = result.n, result.m
     big_n = n // 2
     rows_spec = [
         ("upper-half", "M(N) < (1+o(1))·N/2", big_n / 2.0, "upper", True),
@@ -253,7 +253,7 @@ def bounds_table(n: int, result: "OverlapResult") -> list[BoundRow]:
 
 
 def _finalize(result: OverlapResult) -> OverlapResult:
-    return replace(result, bounds=tuple(bounds_table(result.n, result)))
+    return replace(result, bounds=tuple(bounds_table(result)))
 
 
 def exact_Mn(n: int, cap: int = DEFAULT_EXACT_CAP) -> OverlapResult:

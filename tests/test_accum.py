@@ -17,6 +17,7 @@ from corrlab._accum import (
     _dot_exact_core,
     compensated_dot,
     compensated_prefix_sums,
+    counted_dots,
     exact_dot,
     exact_prefix_sums,
     exact_sum,
@@ -282,3 +283,21 @@ class TestCompensated:
         z = np.array([], dtype=float)
         assert compensated_dot(z, z) == 0.0
         assert compensated_prefix_sums(z).tolist() == [0.0]
+
+
+class TestCountedDots:
+    def test_counts_like_logical_and(self):
+        # -0.0 counts as zero and NaN as nonzero, as np.logical_and has it.
+        a = np.array([1.0, -0.0, math.nan, 2.0, 0.0])
+        b = np.array([0.5, 3.0, 1.0, -0.0, 4.0, 7.0])
+        for o in (0, 1):
+            want = int(np.count_nonzero(np.logical_and(a, b[o : o + 5])))
+            [(_, terms)] = counted_dots(a, b, 5, [o], None)
+            assert terms == want, o
+
+    def test_refuses_reads_past_the_operands(self):
+        a = np.arange(6, dtype=np.int64)
+        assert counted_dots(a, a, 4, [0, 2], 3) == [(14, 3), (26, 3)]
+        for n, offsets in ((4, [3]), (7, [0]), (4, [-1])):
+            with pytest.raises(ValueError):
+                counted_dots(a, a, n, offsets, 3)

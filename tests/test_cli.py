@@ -84,6 +84,14 @@ class TestExitCodes:
             ["constants", "--kind", "musquared", "--x", "100", "--shift", "0"],
             ["sieve", "--kind", "musquared", "--limit", "0"],
             ["minoverlap", "--n", "7"],
+            # A shift list that parses to no shifts at all.
+            ["correlate", "--kind", "musquared", "--x", "100", "--shift", ","],
+            # A tolerance must be a positive finite number, even where the
+            # sums agree exactly.
+            ["identity-check", "--kind", "vonmangoldt", "--x", "100",
+             "--tolerance", "-1"],
+            ["identity-check", "--kind", "divisor", "--x", "100",
+             "--tolerance", "nan"],
         ],
     )
     def test_out_of_range_value_is_usage_error(self, capsys, argv):

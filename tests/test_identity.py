@@ -111,6 +111,12 @@ class TestGeneralAreaIdentity:
         assert res.lhs == res.rhs == 2
         assert res.equal
 
+    def test_refuses_a_tolerance_that_is_not_positive_and_finite(self):
+        pair = SequencePair([0.5, 1.5], [2.0, 3.0])
+        for tolerance in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tolerance"):
+                general_area_identity(pair, tolerance)
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             SequencePair([1, 2], [1])

@@ -261,7 +261,7 @@ class TestHeuristicMn:
 class TestBoundsTable:
     def test_small_n_exempts_asymptotic_rows(self):
         r = exact_Mn(4)
-        rows = {row.name: row for row in bounds_table(4, r)}
+        rows = {row.name: row for row in bounds_table(r)}
         assert rows["upper-half"].ok == "exempt"
         assert rows["lower-one-minus-invsqrt2"].ok == "exempt"
         # The quarter lower bound is not asymptotic: at n=4 (N=2) it reads
@@ -271,12 +271,12 @@ class TestBoundsTable:
 
     def test_n10_quarter_bound_holds(self):
         r = exact_Mn(10)
-        rows = {row.name: row for row in bounds_table(10, r)}
+        rows = {row.name: row for row in bounds_table(r)}
         assert rows["lower-quarter"].ok == "true"
 
     def test_large_n_evaluates_all_rows(self):
         r = heuristic_Mn(64, budget=40_000, seed=7)
-        rows = {row.name: row for row in bounds_table(64, r)}
+        rows = {row.name: row for row in bounds_table(r)}
         assert rows["upper-half"].ok in ("true", "false")
         assert rows["lower-quarter"].ok in ("true", "false")
         assert rows["upper-free-constant-quarter"].ok == "shape-only"
@@ -299,8 +299,8 @@ class TestBoundsTable:
         # A max equal to a strict lower bound refutes it; the note must say
         # "=" there and "<" only below it.  At n=16, lower-quarter is 2.
         r = exact_Mn(16)
-        at = {row.name: row for row in bounds_table(16, replace(r, m=2))}
-        below = {row.name: row for row in bounds_table(16, replace(r, m=1))}
+        at = {row.name: row for row in bounds_table(replace(r, m=2))}
+        below = {row.name: row for row in bounds_table(replace(r, m=1))}
         assert at["lower-quarter"].ok == "false"
         assert at["lower-quarter"].note.endswith("M(N) <= 2 = 2")
         assert below["lower-quarter"].note.endswith("M(N) <= 1 < 2")
@@ -310,7 +310,7 @@ class TestBoundsTable:
         # upper-bound row the table must say the check is inconclusive
         # rather than declare the claim false.
         r = heuristic_Mn(64, budget=50, seed=11)
-        rows = {row.name: row for row in bounds_table(64, r)}
+        rows = {row.name: row for row in bounds_table(r)}
         for name in ("upper-half", "upper-two-fifths", "upper-best-known"):
             if rows[name].ok == "false":
                 assert "inconclusive" in rows[name].note

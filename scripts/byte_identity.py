@@ -50,6 +50,12 @@ INVOCATIONS = (
     ["identity-check", "--kind", "vonmangoldt", "--x", "3000", "--exact"],
     ["minoverlap", "--n", "14", "--exact", "--out", "mo.csv"],
     ["minoverlap", "--n", "40", "--heuristic", "--budget", "5000", "--out", "mo.csv"],
+    # The annealer at the default budget, and at n = 2, where nothing moves.
+    ["minoverlap", "--n", "200", "--heuristic", "--seed", "3", "--out", "mo.csv"],
+    ["minoverlap", "--n", "2", "--heuristic"],
+    # Caps below any input: exit 1 with one usage line.
+    ["identity-check", "--kind", "divisor", "--x", "10", "--oracle-cap", "-1"],
+    ["minoverlap", "--n", "4", "--exact", "--cap", "-1"],
     # Integer kinds, exact, in the correlation sweep.
     ["report", "--config", "integer.cfg", "--grid", "1000,10000,100000",
      "--out-dir", "o"],

@@ -187,6 +187,8 @@ def double_sum_lhs_oracle(
     The independent quadratic-cost route: each outer n sums its inner range
     directly from the value array, never touching the prefix-sum machinery.
     """
+    if oracle_cap < 1:
+        raise ValueError(f"oracle cap must be >= 1, got {oracle_cap}")
     _check_range(table, x)
     if x > oracle_cap:
         raise BudgetExceeded(

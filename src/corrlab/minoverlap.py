@@ -266,6 +266,8 @@ def exact_Mn(n: int, cap: int = DEFAULT_EXACT_CAP) -> OverlapResult:
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 2, got {n}")
+    if cap < 2:
+        raise ValueError(f"cap must be >= 2, got {cap}")
     if n > cap:
         raise CapExceeded(
             f"exhaustive search over C({n - 1},{n // 2 - 1}) splittings "
@@ -289,25 +291,84 @@ def exact_Mn(n: int, cap: int = DEFAULT_EXACT_CAP) -> OverlapResult:
     )
 
 
-def _swap_counts(
-    counts: np.ndarray, alpha: np.ndarray, beta: np.ndarray, a: int, b: int, n: int
-) -> np.ndarray:
-    """Difference counts after swapping a (in A) with b (in B).
+def _lane_bits(n: int) -> int:
+    """Bits per packed lane at size n: every count (at most n/2), with room to
+    spare, fits below the lane's top bit, which :func:`_max_lane` uses as its
+    flag."""
+    return (n // 2 + 4).bit_length() + 1
 
-    ``alpha[x + n]`` and ``beta[x + n]`` are A's and B's 0/1 indicators at
-    x in [−n, 2n], zero outside 1..n.  The swap moves M_k by
-    α[a+k] − α[b+k] + β[b−k] − β[a−k], four slices over k in [−n, n], plus
-    +1 at k = a−b and at k = b−a and −2 at k = 0.
+
+def _pack(values, bits: int) -> int:
+    """One Python int whose ``bits``-wide lane i holds ``values[i]`` >= 0."""
+    packed = 0
+    for v in reversed(values):
+        packed = packed << bits | v
+    return packed
+
+
+def _pack_splitting(s: Splitting, bits: int) -> tuple[int, int, int]:
+    """The packed state of the swap kernel: counts, A, B reversed.
+
+    Lane k + n of the counts holds M_k for k in [−n, n]; lane x + n of the
+    second int is 1 when x is in A, and lane 2n − x of the third when x is
+    in B.
     """
-    w = 2 * n + 1
-    cand = counts + alpha[a : a + w]
-    cand -= alpha[b : b + w]
-    cand += beta[b + 2 * n : b - 1 : -1]  # β[b−k] runs backwards
-    cand -= beta[a + 2 * n : a - 1 : -1]
-    cand[a - b + n] += 1
-    cand[b - a + n] += 1
-    cand[n] -= 2
-    return cand
+    n = s.n
+    counts = _pack(difference_histogram(s).counts.tolist(), bits)
+    a_lanes = sum(1 << bits * (x + n) for x in s.a_elements)
+    r_lanes = sum(1 << bits * (2 * n - x) for x in s.b_elements)
+    return counts, a_lanes, r_lanes
+
+
+def _swap_packed(
+    counts: int, a_lanes: int, r_lanes: int, a: int, b: int, n: int, bits: int
+) -> int:
+    """Packed difference counts after swapping a (in A) with b (in B).
+
+    The swap moves M_k by α[a+k] − α[b+k] + β[b−k] − β[a−k], plus +1 at
+    k = a−b and at k = b−a and −2 at k = 0, where α and β are A's and B's
+    0/1 indicators.  Each indicator term is one shift of the packed A (or
+    reversed B) that puts it at lane k + n.  Every term lands inside lanes
+    0..2n and every final lane is a count in [0, n/2], so the sum is exact
+    lane by lane: no lane carries into or borrows from its neighbour.
+    """
+    return (
+        counts
+        + (a_lanes >> bits * a)
+        + (r_lanes >> bits * (n - b))
+        + (1 << bits * (a - b + n))
+        + (1 << bits * (b - a + n))
+        - (a_lanes >> bits * b)
+        - (r_lanes >> bits * (n - a))
+        - (2 << bits * n)
+    )
+
+
+def _max_lane(packed: int, guess: int, ones: int, top: int) -> int:
+    """The largest lane of ``packed``, stepping from ``guess`` >= 0.
+
+    ``ones`` has a 1 in every lane and ``top`` each lane's top bit.  Adding
+    top − (m + 1)·ones puts 2^(bits−1) − 1 − m in every lane, which sets a
+    lane's top bit exactly when the lane exceeds m, so one add and one and
+    test every lane at once; a move shifts the max by a few, so few tests
+    run.
+    """
+    m = guess
+    probe = packed + top - (m + 1) * ones
+    if probe & top:
+        # Step up while some lane exceeds m.  Lanes of true counts stop this
+        # by n/2; a negative probe means some lane borrowed, which only a
+        # broken kernel can cause, and it must end the loop too.
+        while probe & top and probe >= 0:
+            m += 1
+            probe -= ones
+        return m
+    while m:
+        probe += ones  # now tests m − 1
+        if probe & top:
+            return m
+        m -= 1
+    return 0
 
 
 def heuristic_Mn(
@@ -317,8 +378,13 @@ def heuristic_Mn(
 
     Moves exchange one element of A with one of B.  M_k is the
     cross-correlation Σ_x α[x]·β[x−k] of A's and B's 0/1 indicators, so a
-    swap changes it by four shifted indicator slices (see
-    :func:`_swap_counts`) and the indicators change in four cells.  Cooling
+    swap changes it by four shifted indicators.  The counts and indicators
+    live in lanes of three Python ints, so a move is scored with a few
+    whole-int shifts and adds (:func:`_swap_packed`) and its max found by
+    stepping a lane-parallel threshold test from the current max
+    (:func:`_max_lane`); per move this costs O(n) bit operations but no
+    per-call numpy overhead, which wins at the sizes this module runs
+    (n up to about 500) and loses above them.  Cooling
     is geometric from a temperature chosen so roughly half the uphill moves
     seen in a short warmup would accept.  The witness is the best state
     visited; ties at its max keep the lexicographically smallest membership
@@ -338,13 +404,12 @@ def heuristic_Mn(
     a_list = [1] + rng.sample(range(2, n + 1), half - 1)
     a_set = set(a_list)
     b_list = [v for v in range(1, n + 1) if v not in a_set]
-    alpha = np.zeros(3 * n + 1, dtype=np.int64)
-    beta = np.zeros(3 * n + 1, dtype=np.int64)
-    alpha[[e + n for e in a_list]] = 1
-    beta[[e + n for e in b_list]] = 1
     start = Splitting.from_a(n, a_list)
-    counts = difference_histogram(start).counts.copy()
-    cur_max = int(counts.max())
+    bits = _lane_bits(n)
+    ones = _pack([1] * (2 * n + 1), bits)
+    top = ones << bits - 1
+    counts, a_lanes, r_lanes = _pack_splitting(start, bits)
+    cur_max = _max_lane(counts, 0, ones, top)
 
     mask = start.mask
     best_max = cur_max
@@ -359,7 +424,8 @@ def heuristic_Mn(
     uphill: list[int] = []
     for _ in range(min(100, steps)):
         i, j = propose()
-        m_new = int(_swap_counts(counts, alpha, beta, a_list[i], b_list[j], n).max())
+        cand = _swap_packed(counts, a_lanes, r_lanes, a_list[i], b_list[j], n, bits)
+        m_new = _max_lane(cand, cur_max, ones, top)
         if m_new > cur_max:
             uphill.append(m_new - cur_max)
     if uphill:
@@ -375,16 +441,16 @@ def heuristic_Mn(
         i, j = propose()
         a = a_list[i]
         b = b_list[j]
-        cand = _swap_counts(counts, alpha, beta, a, b, n)
-        m_new = int(cand.max())
+        cand = _swap_packed(counts, a_lanes, r_lanes, a, b, n, bits)
+        m_new = _max_lane(cand, cur_max, ones, top)
         delta = m_new - cur_max
         if delta <= 0 or rng.random() < math.exp(-delta / temp):
             counts = cand
             cur_max = m_new
             a_list[i] = b
             b_list[j] = a
-            alpha[a + n] = beta[b + n] = 0
-            alpha[b + n] = beta[a + n] = 1
+            a_lanes += (1 << bits * (b + n)) - (1 << bits * (a + n))
+            r_lanes += (1 << bits * (2 * n - a)) - (1 << bits * (2 * n - b))
             mask ^= (1 << (a - 1)) | (1 << (b - 1))
             if cur_max < best_max or (
                 cur_max == best_max and _lex_less(mask, best_mask)

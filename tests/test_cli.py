@@ -92,6 +92,14 @@ class TestExitCodes:
              "--tolerance", "-1"],
             ["identity-check", "--kind", "divisor", "--x", "100",
              "--tolerance", "nan"],
+            # A cap is a value: below the smallest input it refuses a usage
+            # error, not a computation that went over budget.
+            ["identity-check", "--kind", "divisor", "--x", "10",
+             "--oracle-cap", "-1"],
+            ["identity-check", "--kind", "divisor", "--x", "10",
+             "--oracle-cap", "0"],
+            ["minoverlap", "--n", "4", "--exact", "--cap", "-1"],
+            ["minoverlap", "--n", "2", "--exact", "--cap", "1"],
         ],
     )
     def test_out_of_range_value_is_usage_error(self, capsys, argv):

@@ -216,6 +216,13 @@ class TestDoubleSumOracle:
         with pytest.raises(BudgetExceeded):
             double_sum_lhs_oracle(t, 2000, oracle_cap=100)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_a_value_error(self, cap):
+        # Even x = 1, which no cap of 1 or more refuses.
+        t = build_table(CONSTANT_ONE, 10)
+        with pytest.raises(ValueError):
+            double_sum_lhs_oracle(t, 1, oracle_cap=cap)
+
 
 class TestPairSumClosedForm:
     def test_musquared_example(self):

@@ -13,7 +13,6 @@ import random
 from collections import Counter
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from corrlab import (
@@ -25,7 +24,14 @@ from corrlab import (
     exact_Mn,
     heuristic_Mn,
 )
-from corrlab.minoverlap import _lex_less, _swap_counts
+from corrlab.minoverlap import (
+    _lane_bits,
+    _lex_less,
+    _max_lane,
+    _pack,
+    _pack_splitting,
+    _swap_packed,
+)
 
 
 # -- clean-room oracle --------------------------------------------------------
@@ -126,26 +132,81 @@ class TestDifferenceHistogram:
         assert h.count(-99) == 0
 
 
-class TestSwapCounts:
+def _unpack(packed: int, lanes: int, bits: int) -> list[int]:
+    return [packed >> bits * i & (1 << bits) - 1 for i in range(lanes)]
+
+
+def _fullest(n: int) -> list[Splitting]:
+    """A = {1..n/2}, where M_{−n/2} = n/2 fills a lane, and its mirror."""
+    low = range(1, n // 2 + 1)
+    return [Splitting.from_a(n, low), Splitting.from_a(n, [n + 1 - x for x in low])]
+
+
+class TestPackedSwap:
+    @staticmethod
+    def check_swaps(s, swaps):
+        # Each swap's packed counts decode to the histogram of the swapped
+        # splitting, nothing sits above the top lane, and the max found by
+        # stepping agrees from below, at and above the current max.
+        n, w = s.n, 2 * s.n + 1
+        bits = _lane_bits(n)
+        ones = _pack([1] * w, bits)
+        top = ones << bits - 1
+        counts, a_lanes, r_lanes = _pack_splitting(s, bits)
+        m = difference_histogram(s).max_value
+        for a, b in swaps:
+            got = _swap_packed(counts, a_lanes, r_lanes, a, b, n, bits)
+            want = difference_histogram(
+                Splitting(n, s.mask ^ (1 << (a - 1)) ^ (1 << (b - 1)))
+            )
+            assert got >> bits * w == 0, (s.bits, a, b)
+            assert _unpack(got, w, bits) == want.counts.tolist(), (s.bits, a, b)
+            for guess in (0, m, n // 2):
+                assert _max_lane(got, guess, ones, top) == want.max_value, (
+                    s.bits, a, b, guess,
+                )
+
+    def test_packs_the_histogram(self):
+        for s in _fullest(10) + [Splitting.from_a(10, (1, 3, 4, 8, 9))]:
+            bits = _lane_bits(10)
+            counts, a_lanes, r_lanes = _pack_splitting(s, bits)
+            assert _unpack(counts, 21, bits) == difference_histogram(s).counts.tolist()
+            assert _unpack(a_lanes, 21, bits) == [
+                int(x - 10 in s.a_elements) for x in range(21)
+            ]
+            assert _unpack(r_lanes, 21, bits) == [
+                int(20 - x in s.b_elements) for x in range(21)
+            ]
+
     @pytest.mark.parametrize("n", [2, 4, 10, 40])
-    def test_matches_histogram_of_swapped_splitting(self, n):
+    def test_every_swap_matches_histogram(self, n):
         # Every swap of a few random splittings, so moves of 1 and of n are
-        # always among them, from either half.
+        # always among them, from either half; then every swap out of the
+        # two splittings whose max fills a lane.
         rng = random.Random(n)
-        for _ in range(4):
-            s = Splitting.from_a(n, rng.sample(range(1, n + 1), n // 2))
-            alpha = np.zeros(3 * n + 1, dtype=np.int64)
-            beta = np.zeros(3 * n + 1, dtype=np.int64)
-            alpha[[e + n for e in s.a_elements]] = 1
-            beta[[e + n for e in s.b_elements]] = 1
-            counts = difference_histogram(s).counts.copy()
-            for a in s.a_elements:
-                for b in s.b_elements:
-                    got = _swap_counts(counts, alpha, beta, a, b, n)
-                    swapped = Splitting(n, s.mask ^ (1 << (a - 1)) ^ (1 << (b - 1)))
-                    want = difference_histogram(swapped).counts
-                    assert got.tolist() == want.tolist(), (s.bits, a, b)
-            assert counts.tolist() == difference_histogram(s).counts.tolist()
+        splittings = [
+            Splitting.from_a(n, rng.sample(range(1, n + 1), n // 2)) for _ in range(4)
+        ]
+        for s in splittings + _fullest(n):
+            self.check_swaps(s, itertools.product(s.a_elements, s.b_elements))
+
+    def test_lane_width_steps_between_118_and_120(self):
+        assert (_lane_bits(118), _lane_bits(120)) == (7, 8)
+
+    @pytest.mark.parametrize("n", [118, 120])
+    def test_sampled_swaps_either_side_of_a_lane_width_step(self, n):
+        rng = random.Random(n)
+        splittings = [
+            Splitting.from_a(n, rng.sample(range(1, n + 1), n // 2)) for _ in range(2)
+        ]
+        for s in splittings + _fullest(n):
+            swaps = [
+                (rng.choice(s.a_elements), rng.choice(s.b_elements))
+                for _ in range(200)
+            ]
+            # Plus the swap of A's least and B's greatest element, the
+            # longest shifts, which 200 draws may miss.
+            self.check_swaps(s, swaps + [(s.a_elements[0], s.b_elements[-1])])
 
 
 # -- exhaustive search --------------------------------------------------------
@@ -197,6 +258,13 @@ class TestExactMn:
         with pytest.raises(CapExceeded):
             exact_Mn(10, cap=8)  # caller-tightened cap
         assert exact_Mn(10, cap=10).m == 3  # explicit cap exactly at n
+
+    @pytest.mark.parametrize("cap", [1, 0, -1])
+    def test_cap_below_two_is_a_value_error(self, cap):
+        # No even n fits under such a cap, so it is a bad value, not a
+        # search refused for its size.
+        with pytest.raises(ValueError):
+            exact_Mn(2, cap=cap)
 
     def test_rejects_odd_n(self):
         with pytest.raises(ValueError):
@@ -253,6 +321,181 @@ class TestHeuristicMn:
         # The heuristic reports an achieved value, so it upper-bounds M(n).
         for n in (6, 8, 10, 12):
             assert heuristic_Mn(n, budget=2000, seed=5).m >= exact_Mn(n).m
+
+
+# -- pinned results -----------------------------------------------------------
+
+#: ``n budget seed m witness.bits`` of ``heuristic_Mn(n, budget, seed)`` for
+#: even n 2–20, 40 and 64, seeds 0–3 and budgets 1, 50 and 2000, recorded from
+#: the slice kernel that the packed-lane kernel replaced.  Any change to the
+#: RNG stream, the cooling, the acceptance test or the tie-break moves some.
+PINNED_RESULTS = """\
+2 1 0 1 10
+2 1 1 1 10
+2 1 2 1 10
+2 1 3 1 10
+2 50 0 1 10
+2 50 1 1 10
+2 50 2 1 10
+2 50 3 1 10
+2 2000 0 1 10
+2 2000 1 1 10
+2 2000 2 1 10
+2 2000 3 1 10
+4 1 0 1 1001
+4 1 1 1 1001
+4 1 2 2 1010
+4 1 3 2 1010
+4 50 0 1 1001
+4 50 1 1 1001
+4 50 2 1 1001
+4 50 3 1 1001
+4 2000 0 1 1001
+4 2000 1 1 1001
+4 2000 2 1 1001
+4 2000 3 1 1001
+6 1 0 2 100011
+6 1 1 3 101010
+6 1 2 2 100011
+6 1 3 2 101001
+6 50 0 2 100011
+6 50 1 2 100011
+6 50 2 2 100011
+6 50 3 2 100011
+6 2000 0 2 100011
+6 2000 1 2 100011
+6 2000 2 2 100011
+6 2000 3 2 100011
+8 1 0 2 10001011
+8 1 1 3 11100001
+8 1 2 2 11000011
+8 1 3 3 10100101
+8 50 0 2 10001011
+8 50 1 2 10001011
+8 50 2 2 10001011
+8 50 3 2 10001011
+8 2000 0 2 10001011
+8 2000 1 2 10001011
+8 2000 2 2 10001011
+8 2000 3 2 10001011
+10 1 0 3 1001001101
+10 1 1 3 1011000101
+10 1 2 4 1111000001
+10 1 3 3 1001010011
+10 50 0 3 1000011011
+10 50 1 3 1000010111
+10 50 2 3 1001011001
+10 50 3 3 1000010111
+10 2000 0 3 1000010111
+10 2000 1 3 1000010111
+10 2000 2 3 1000010111
+10 2000 3 3 1000010111
+12 1 0 4 100001111001
+12 1 1 4 111100000011
+12 1 2 4 111000110010
+12 1 3 4 100110001110
+12 50 0 3 110100010011
+12 50 1 3 100001101110
+12 50 2 3 110000101011
+12 50 3 3 100010011110
+12 2000 0 3 100001101110
+12 2000 1 3 100001101110
+12 2000 2 3 100001101110
+12 2000 3 3 100001101110
+14 1 0 4 10000111110001
+14 1 1 5 10110100101100
+14 1 2 5 11010110001010
+14 1 3 4 10010010111100
+14 50 0 4 10000011001111
+14 50 1 4 10000011110110
+14 50 2 4 10000011010111
+14 50 3 4 10000110010111
+14 2000 0 3 11100000100111
+14 2000 1 3 11100000100111
+14 2000 2 3 11100000100111
+14 2000 3 3 11100000100111
+16 1 0 5 1100010110000111
+16 1 1 6 1001010010101110
+16 1 2 5 1011001010001011
+16 1 3 5 1001101011100010
+16 50 0 4 1001011110010001
+16 50 1 4 1000101101111000
+16 50 2 4 1000011010111001
+16 50 3 4 1011000100011110
+16 2000 0 4 1000010111001101
+16 2000 1 4 1000010100110111
+16 2000 2 4 1000001111011100
+16 2000 3 4 1000001100111101
+18 1 0 5 110000011100011011
+18 1 1 5 101101011000110001
+18 1 2 6 100101110001100011
+18 1 3 6 101001101011001001
+18 50 0 4 110110000001010111
+18 50 1 4 110101100000011011
+18 50 2 4 101110010000011101
+18 50 3 5 101000010011010111
+18 2000 0 4 100001111101100010
+18 2000 1 4 101110000001001111
+18 2000 2 4 100001101111100010
+18 2000 3 4 101110000010010111
+20 1 0 6 10100101100001101110
+20 1 1 6 10001100110101110100
+20 1 2 6 10110100000100101111
+20 1 3 6 10000100001111110011
+20 50 0 5 10001010011111010001
+20 50 1 5 10010000101110100111
+20 50 2 5 11000100100001110111
+20 50 3 5 10001111101011000100
+20 2000 0 5 10000100110011111010
+20 2000 1 5 10000010111101011001
+20 2000 2 5 10000100110011110101
+20 2000 3 5 10000001111101111000
+40 1 0 12 1001110100101000110110000111000111101001
+40 1 1 15 1100110111000110110011000110011010000110
+40 1 2 10 1011101000011110011111101000000011000110
+40 1 3 12 1100010111000000101000111001011100111011
+40 50 0 10 1100111000000010110010010101001110101111
+40 50 1 11 1100010011100001000101101110111010010110
+40 50 2 10 1111010101001101110000100000001101111001
+40 50 3 9 1111011101000111010000000100000011110111
+40 2000 0 9 1011101110101110000000000001011101011011
+40 2000 1 9 1000000011100111111110101011010010010001
+40 2000 2 9 1000000011011111101111011011001010000100
+40 2000 3 9 1000000001110101111111101101010011100000
+64 1 0 19 1001010101100010010100110111000111010011100100100101110111101000
+64 1 1 21 1110010111000011011001000100110110110111001000101110110100010100
+64 1 2 19 1001101000010010011010001010110001010011010101101000111110101111
+64 1 3 18 1101000001110101110000001110000100111011110001101101101001100110
+64 50 0 16 1011111011100100010101110010111001010010000000100010011000111111
+64 50 1 17 1110010000010111111001101000100001011001110110101110010101000101
+64 50 2 16 1011111001110110010000111011010000101010110000100000011110101110
+64 50 3 16 1000000001000110001000011111000111110111111000111101101101100100
+64 2000 0 14 1000000000000111001111011011111110111111010011110110010001000000
+64 2000 1 14 1110011111001100011110000000000000100001011010100111011011111011
+64 2000 2 14 1000000010100110000111101111110111101101110111010110000000101000
+64 2000 3 15 1010110101100101110000001000000000101110011110111010111001001111
+"""
+
+#: ``heuristic_Mn(200, seed=0).witness.bits`` at the default budget.
+PINNED_N200_SEED0 = (
+    "1001101111101111111101101011111111110011010011001110000001010001"
+    "1001111000111100000000000001000000000110100000000011000000010100"
+    "0010000010001001111000101011101110010011110111011101101101111111"
+    "11110110"
+)
+
+
+class TestPinnedResults:
+    def test_matrix(self):
+        for line in PINNED_RESULTS.splitlines():
+            n, budget, seed, m, bits = line.split()
+            r = heuristic_Mn(int(n), budget=int(budget), seed=int(seed))
+            assert (r.m, r.witness.bits) == (int(m), bits), (
+                f"first differing case: n={n} budget={budget} seed={seed}"
+            )
+
+    def test_n200_seed0(self):
+        assert heuristic_Mn(200, seed=0).witness.bits == PINNED_N200_SEED0
 
 
 # -- bounds table -------------------------------------------------------------

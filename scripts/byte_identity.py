@@ -42,12 +42,18 @@ INVOCATIONS = (
      "--out", "table.csv"],
     ["sieve", "--kind", "divisor3", "--limit", "600000", "--headroom", "64",
      "--out", "table.csv"],
+    # Λ's compensated prefix sums print as sum=.
+    ["sieve", "--kind", "vonmangoldt", "--limit", "600000", "--headroom", "64",
+     "--out", "table.csv"],
     # The payload follows the kind: no --mode flag, exit 1 with one usage line.
     ["sieve", "--kind", "divisor", "--limit", "2000", "--headroom", "2",
      "--mode", "floating", "--out", "table.csv"],
     ["identity-check", "--kind", "eulerphi", "--x", "3000", "--exact"],
     ["identity-check", "--kind", "vonmangoldt", "--x", "3000"],
     ["identity-check", "--kind", "vonmangoldt", "--x", "3000", "--exact"],
+    ["identity-check", "--kind", "masterupsilon", "--x", "5000"],
+    # Over the oracle's cap: exit 2 with one BUDGET line.
+    ["identity-check", "--kind", "eulerphi", "--x", "20000000"],
     ["minoverlap", "--n", "14", "--exact", "--out", "mo.csv"],
     ["minoverlap", "--n", "40", "--heuristic", "--budget", "5000", "--out", "mo.csv"],
     # The annealer at the default budget, and at n = 2, where nothing moves.
@@ -73,11 +79,16 @@ INVOCATIONS = (
     ["claims", "--grid", "1000,100", "--out-dir", "o"],
     ["report", "--config", "bad.cfg", "--out-dir", "o"],
     ["report", "--config", "missing.cfg", "--out-dir", "o"],
+    # An unknown kind (exit 1) and an unknown claim id (exit 2).
+    ["report", "--config", "badkind.cfg", "--out-dir", "o"],
+    ["report", "--config", "badclaim.cfg", "--out-dir", "o"],
 )
 
 #: Files placed in each working directory before the run.
 INPUTS = {
     "bad.cfg": "slack=-1\n",
+    "badkind.cfg": "kinds=vonmangoldt,bogus\n",
+    "badclaim.cfg": "claims=thm3.1-twin,nosuch\n",
     "integer.cfg": "kinds=divisor,eulerphi\nshifts=1,2\n",
     "floating.cfg": "kinds=divisor,eulerphi\nshifts=1,2\npayload_mode=floating\n",
     "exact.cfg": "kinds=divisor,eulerphi\nshifts=1,2\npayload_mode=exact\n",

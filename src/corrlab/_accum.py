@@ -1,19 +1,19 @@
-"""Exact and compensated accumulation primitives.
+"""Dot products and running sums, exact or compensated by operand dtype.
 
-Integer paths return Python ints and are exact regardless of magnitude.
-Operands whose dtype casts to int64 without loss (every signed integer
-dtype, uint8 to uint32, and bool) take the int64 path; uint64 operands and
-object arrays of Python ints are summed as Python ints, so no entry ever
-wraps.  On the int64 path a dot product runs as one ``np.dot`` when a
-conservative bound proves the whole reduction fits in int64; otherwise the
-products are formed in int64 when they fit and summed in rows short enough
-that no row total overflows; otherwise the wider operand is split into
-high/low digits until they do.  The bound starts from the bit length of
-each operand's largest magnitude, which a table records once when it is
-built (bare arrays are measured once per call), so no kernel scans its
-chunks for it.
+Integer operands give Python ints, exact regardless of magnitude; a float
+operand takes the compensated route, so no caller picks a kernel.  Integer
+dtypes that cast to int64 without loss (every signed integer dtype, uint8
+to uint32, and bool) take the int64 path; uint64 operands and object arrays
+of Python ints are summed as Python ints, so no entry ever wraps.  On the
+int64 path a dot product runs as one ``np.dot`` when a conservative bound
+proves the whole reduction fits in int64; otherwise the products are formed
+in int64 when they fit and summed in rows short enough that no row total
+overflows; otherwise the wider operand is split into high/low digits until
+they do.  The bound starts from the bit length of each operand's largest
+magnitude, which a table records once when it is built (bare arrays are
+measured once per call), so no kernel scans its chunks for it.
 
-Float paths bound the relative error of long reductions by combining
+Float routes bound the relative error of long reductions by combining
 blockwise ``numpy`` kernels with ``math.fsum`` across block totals.
 
 Long operands are walked in chunks of ``_CHUNK`` entries.  Two int64 chunks
@@ -99,21 +99,28 @@ def _dot_exact_core(a: np.ndarray, b: np.ndarray, ba: int, bb: int) -> int:
     ) + _dot_exact_core(lo, b, _SPLIT_BITS, bb)
 
 
-def exact_dot(
+def _is_float(*arrays: np.ndarray) -> bool:
+    """Whether any operand is a float array (the compensated route)."""
+    return any(a.dtype.kind == "f" for a in arrays)
+
+
+def dot(
     a: np.ndarray, b: np.ndarray, bits: tuple[int, int] | None = None
-) -> int:
-    """Return ``sum(a[i] * b[i])`` exactly as a Python int.
+) -> int | float:
+    """Return ``sum(a[i] * b[i])`` of equal-length arrays.
 
-    Args:
-        a, b: equal-length integer arrays (any integer dtype).
-        bits: bounds on the bit lengths of max|a| and max|b|, when the
-            caller has recorded them; otherwise both are measured once here.
-
-    Returns:
-        The exact dot product, free of overflow.
+    Integer operands give the exact Python int; ``bits`` bounds the bit
+    lengths of max|a| and max|b| when the caller has recorded them (else
+    both are measured once here).  If either operand is a float array, each
+    block of ``_FLOAT_BLOCK`` terms is reduced by ``np.dot`` and the block
+    totals by ``math.fsum``, and ``bits`` is ignored.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if _is_float(a, b):
+        af = np.ascontiguousarray(a, dtype=np.float64)
+        bf = np.ascontiguousarray(b, dtype=np.float64)
+        return math.fsum(_block_dots(af, bf))
     a, b = _exact_operand(a), _exact_operand(b)
     if a.dtype == object or b.dtype == object:
         return int(np.dot(a.astype(object), b.astype(object))) if a.size else 0
@@ -131,11 +138,11 @@ def counted_dots(
     """Dot product of ``a[:n]`` with ``b[o : o + n]``, and the count of its
     nonzero products, for each offset o, in input order.
 
-    For int64 operands ``bits`` bounds the bit length of every |a[i]| and
-    |b[i]| (a table records it once, so no window is scanned for it) and
-    each value is exact, as :func:`exact_dot`; ``None`` marks float
-    operands, whose values equal :func:`compensated_dot`.  The count is the
-    number of products with both factors nonzero (-0.0 counts as zero).
+    Each value equals :func:`dot` of the two windows.  For integer operands
+    ``bits`` bounds the bit length of every |a[i]| and |b[i]| (a table
+    records it once, so no window is scanned for it; ``None`` measures it
+    once here).  The count is the number of products with both factors
+    nonzero (-0.0 counts as zero).
 
     One walk reads each window of ``_CHUNK`` entries of ``a``, and of ``b``
     plus a max(offsets) tail, from memory once; every offset's dot product
@@ -147,7 +154,9 @@ def counted_dots(
     reach = max(offsets)
     if min(offsets) < 0 or a.size < n or b.size < n + reach:
         raise ValueError(f"offsets {list(offsets)} read past the operands at n={n}")
-    exact = bits is not None
+    exact = not _is_float(a, b)
+    if exact and bits is None:
+        bits = max(_bits(a[:n]), _bits(b[: n + reach]))
     dtype = np.int64 if exact else np.float64
     totals = [0] * len(offsets)
     partials: list[list[float]] = [[] for _ in offsets]
@@ -155,7 +164,7 @@ def counted_dots(
     for start in range(0, n, _CHUNK):
         m = min(_CHUNK, n - start)
         # A reversed view is copied once here, so every np.dot below gets
-        # contiguous blocks, as compensated_dot gives it.
+        # contiguous blocks, as dot gives it.
         head = np.ascontiguousarray(a[start : start + m], dtype=dtype)
         window = np.ascontiguousarray(b[start : start + m + reach], dtype=dtype)
         head_nonzero, nonzero = head != 0, window != 0
@@ -171,8 +180,8 @@ def counted_dots(
 
 
 def exact_sum(a: np.ndarray, bits: int | None = None) -> int:
-    """Return ``sum(a)`` exactly as a Python int; ``bits`` as for
-    :func:`exact_dot`."""
+    """Return ``sum(a)`` of an integer array exactly as a Python int;
+    ``bits`` bounds the bit length of max|a|, as for :func:`dot`."""
     a = _exact_operand(a)
     if a.dtype == object:
         return int(a.sum())
@@ -181,18 +190,29 @@ def exact_sum(a: np.ndarray, bits: int | None = None) -> int:
 
 def sums_fit_int64(a: np.ndarray, bits: int | None = None) -> bool:
     """Whether every sum of entries of the int64 array ``a`` provably fits;
-    ``bits`` as for :func:`exact_dot`."""
+    ``bits`` as for :func:`exact_sum`."""
     bits = _bits(a) if bits is None else bits
     return bits + a.size.bit_length() <= _SAFE_PRODUCT_BITS
 
 
-def exact_prefix_sums(a: np.ndarray, bits: int | None = None) -> np.ndarray:
-    """Exact S(0), S(1), ..., S(n) of an integer array, with S(0) = 0.
+def running_sums(a: np.ndarray, bits: int | None = None) -> np.ndarray:
+    """S(0), S(1), ..., S(n) of ``a``, with S(0) = 0; ``bits`` as for
+    :func:`exact_sum`.
 
-    Returns an int64 array, written in one pass, when every partial sum
-    provably fits, otherwise an object-dtype array of Python ints.
-    ``bits`` is as for :func:`exact_dot`.
+    Integer sums are exact: int64, written in one pass, when every partial
+    sum provably fits, else Python ints.  Float sums run a plain
+    ``np.cumsum`` per block and add the block's offset (see
+    :func:`_carried_blocks`), far below ordinary cumsum drift.
     """
+    if _is_float(a):
+        af = np.ascontiguousarray(a, dtype=np.float64)
+        out = np.empty(af.size + 1)
+        out[0] = 0.0
+        for s, block, offset in _carried_blocks(af):
+            run = out[1 + s : 1 + s + block.size]
+            np.cumsum(block, out=run)
+            run += offset
+        return out
     a = _exact_operand(a)
     if a.dtype != object and sums_fit_int64(a, bits):
         out = np.empty(a.size + 1, dtype=np.int64)
@@ -202,18 +222,28 @@ def exact_prefix_sums(a: np.ndarray, bits: int | None = None) -> np.ndarray:
     return np.concatenate([np.zeros(1, dtype=object), np.cumsum(a, dtype=object)])
 
 
-def compensated_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product of float arrays with compensated cross-block summation.
-
-    Each block of ``_FLOAT_BLOCK`` terms is reduced by ``np.dot``; the block
-    totals are then combined by ``math.fsum``, so the error of the final
-    reduction does not grow with the number of blocks.
+def running_dot(
+    a: np.ndarray, b: np.ndarray, bits: int | None = None
+) -> int | float:
+    """``dot(a, running_sums(b)[1:])``, with equal bits; ``bits`` as for
+    :func:`counted_dots`.  A float ``b`` forms each block's running sums
+    next to the dot that reads them, so no array of them is written.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if not _is_float(b):
+        bound = None if bits is None else (bits, bits + b.size.bit_length())
+        return dot(a, running_sums(b, bits)[1:], bound)
     af = np.ascontiguousarray(a, dtype=np.float64)
     bf = np.ascontiguousarray(b, dtype=np.float64)
-    return math.fsum(_block_dots(af, bf))
+    scratch = np.empty(min(_FLOAT_BLOCK, bf.size))
+    partials = []
+    for s, block, offset in _carried_blocks(bf):
+        run = scratch[: block.size]
+        np.cumsum(block, out=run)
+        run += offset
+        partials.append(float(np.dot(af[s : s + block.size], run)))
+    return math.fsum(partials)
 
 
 def _block_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
@@ -238,42 +268,3 @@ def _carried_blocks(a: np.ndarray) -> Iterator[tuple[int, np.ndarray, float]]:
         yield s, block, carried / units
         num, den = float(block.sum()).as_integer_ratio()
         carried += num * (units // den)
-
-
-def compensated_prefix_sums(a: np.ndarray) -> np.ndarray:
-    """S(0), S(1), ..., S(n) of a float array, with S(0) = 0, written into
-    the returned array with per-block compensation.
-
-    Within each block a plain ``np.cumsum`` runs; the block's offset (see
-    :func:`_carried_blocks`) is then added, keeping the relative error of
-    every prefix far below ordinary cumsum drift.
-    """
-    af = np.ascontiguousarray(a, dtype=np.float64)
-    out = np.empty(af.size + 1)
-    out[0] = 0.0
-    for s, block, offset in _carried_blocks(af):
-        run = out[1 + s : 1 + s + block.size]
-        np.cumsum(block, out=run)
-        run += offset
-    return out
-
-
-def compensated_running_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """``compensated_dot(a, c)`` where ``c`` is the running sums of ``b``
-    (``compensated_prefix_sums(b)[1:]``), with equal bits.
-
-    Each block's running sums are formed next to the dot that reads them,
-    so no running-sum array of the operands' length is written.
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    af = np.ascontiguousarray(a, dtype=np.float64)
-    bf = np.ascontiguousarray(b, dtype=np.float64)
-    scratch = np.empty(min(_FLOAT_BLOCK, bf.size))
-    partials = []
-    for s, block, offset in _carried_blocks(bf):
-        run = scratch[: block.size]
-        np.cumsum(block, out=run)
-        run += offset
-        partials.append(float(np.dot(af[s : s + block.size], run)))
-    return math.fsum(partials)

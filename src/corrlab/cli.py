@@ -18,7 +18,7 @@ from . import minoverlap as mo
 from .config import ExperimentConfig
 from .correlation import type1_sweep, type2
 from .errors import ConfigError, CorrlabError
-from .identity import identity_check
+from .identity import _check_budget, _check_tolerance, identity_check
 from .report import (
     CLAIM_HEADER,
     CORRELATION_HEADER,
@@ -152,6 +152,9 @@ def _cmd_sieve(args) -> int:
 
 def _cmd_identity_check(args) -> int:
     kind = FunctionKind.parse(args.kind)
+    # Bad flags, and an x past the oracle's cap, are refused before the sieve.
+    _check_tolerance(args.tolerance)
+    _check_budget(args.x, args.oracle_cap)
     table = build_table(kind, args.x)
     if args.exact and not table.is_exact:
         raise ValueError(f"{kind.label} has no exact payload; drop --exact")
@@ -333,11 +336,13 @@ def _cmd_report(args) -> int:
     except FileNotFoundError:
         raise ValueError(f"config file not found: {args.config}")
 
+    # Unknown kinds and claim ids are refused before the sweep sieves.
+    kinds = [FunctionKind.parse(label) for label in cfg.kinds]
+    consts.claim_specs(cfg.claims)
     # Correlation sweep over the configured kinds, shifts, and grid.
     corr_rows = []
     max_x = max(cfg.x_grid)
-    for kind_label in cfg.kinds:
-        kind = FunctionKind.parse(kind_label)
+    for kind in kinds:
         table = build_table(kind, max_x, max(cfg.shifts))
         for x in cfg.x_grid:
             corr_rows += map(_correlation_row, type1_sweep(table, x, list(cfg.shifts)))

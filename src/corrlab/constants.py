@@ -429,6 +429,15 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def claim_specs(claim_ids: Sequence[str]) -> list[_ClaimSpec]:
+    """The catalogue entry of each id, in order; an unknown id is refused."""
+    for cid in claim_ids:
+        if cid not in _CLAIMS:
+            known = ", ".join(ALL_CLAIMS)
+            raise UnknownClaim(f"unknown claim {cid!r}; known claims: {known}")
+    return [_CLAIMS[cid] for cid in claim_ids]
+
+
 def evaluate_claims(
     claim_ids: Sequence[str],
     grid: Sequence[int],
@@ -444,13 +453,7 @@ def evaluate_claims(
     each, up to the CPUs the process may use; outputs do not depend on the
     number of threads.
     """
-    specs = []
-    for cid in claim_ids:
-        spec = _CLAIMS.get(cid)
-        if spec is None:
-            known = ", ".join(ALL_CLAIMS)
-            raise UnknownClaim(f"unknown claim {cid!r}; known claims: {known}")
-        specs.append(spec)
+    specs = claim_specs(claim_ids)
     grid = tuple(int(x) for x in grid)
     if not grid:
         raise ValueError("x-grid must be non-empty")

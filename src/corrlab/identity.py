@@ -17,15 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import (
-    compensated_dot,
-    compensated_prefix_sums,
-    compensated_running_dot,
-    exact_dot,
-    exact_prefix_sums,
-    exact_sum,
-    sums_fit_int64,
-)
+from ._accum import dot, exact_sum, running_dot, running_sums, sums_fit_int64
 from .errors import BudgetExceeded, RangeError
 from .tables import (
     FunctionTable,
@@ -42,32 +34,31 @@ DEFAULT_ORACLE_CAP = 100_000
 DEFAULT_TOLERANCE = 1e-9
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    """No NaN or infinity in ``a``; Python ints of any size are finite."""
-    if a.dtype == object:
-        return all(math.isfinite(v) for v in a.tolist() if isinstance(v, float))
-    return a.dtype.kind != "f" or bool(np.isfinite(a).all())
-
-
 @dataclass(frozen=True, eq=False)
 class SequencePair:
-    """Two equal-length finite sequences r_1..r_n and h_1..h_n."""
+    """Two equal-length finite sequences r_1..r_n and h_1..h_n; a pair that
+    is not all integers is stored as float64."""
 
     r: np.ndarray
     h: np.ndarray
 
     def __post_init__(self) -> None:
         r, h = _as_values(self.r), _as_values(self.h)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "h", h)
         if r.ndim != 1 or h.ndim != 1:
             raise ValueError("sequences must be one-dimensional")
         if r.shape != h.shape:
             raise ValueError(f"length mismatch: {r.size} vs {h.size}")
         if r.size < 1:
             raise ValueError("sequences must have length >= 1")
-        if not (_all_finite(r) and _all_finite(h)):
-            raise ValueError("sequence values must be finite")
+        if not (_integer_valued(r) and _integer_valued(h)):
+            try:
+                r, h = r.astype(np.float64), h.astype(np.float64)
+            except OverflowError:
+                raise ValueError("a non-integer pair must fit float64") from None
+            if not (np.isfinite(r).all() and np.isfinite(h).all()):
+                raise ValueError("sequence values must be finite")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "h", h)
 
     @property
     def n(self) -> int:
@@ -76,7 +67,7 @@ class SequencePair:
     @property
     def exact(self) -> bool:
         """Both sequences hold integers (of any magnitude)."""
-        return _integer_valued(self.r) and _integer_valued(self.h)
+        return self.r.dtype.kind != "f"
 
 
 @dataclass(frozen=True)
@@ -93,6 +84,14 @@ def _check_tolerance(tolerance: float) -> None:
     """Refuse a tolerance that is not a positive finite number."""
     if not (0 < tolerance < math.inf):
         raise ValueError(f"tolerance must be a positive finite number, got {tolerance}")
+
+
+def _check_budget(x: int, oracle_cap: int) -> None:
+    """Refuse an oracle cap below 1, or an x above the cap."""
+    if oracle_cap < 1:
+        raise ValueError(f"oracle cap must be >= 1, got {oracle_cap}")
+    if x > oracle_cap:
+        raise BudgetExceeded(f"oracle is quadratic; x={x} exceeds its cap {oracle_cap}")
 
 
 def _verdict(lhs, rhs, exact: bool, tolerance: float) -> IdentityCheckResult:
@@ -116,20 +115,15 @@ def general_area_identity(
     where S and H are the running sums of r and h.  The right side costs
     O(n) via one prefix pass per sequence.  Holds for every finite pair;
     no constraint relating the sequences' magnitudes is required.  Integer
-    pairs run the exact kernels, any other pair the compensated float ones;
-    at n = 1 every dot product is empty and both sides are 0.
+    pairs are summed exactly, float pairs with compensation; at n = 1 every
+    dot product is empty and both sides are 0.
     """
     _check_tolerance(tolerance)
-    r, h, exact = pair.r, pair.h, pair.exact
-    if exact:
-        dot, prefix = exact_dot, exact_prefix_sums
-    else:
-        dot, prefix = compensated_dot, compensated_prefix_sums
-        r, h = r.astype(np.float64), h.astype(np.float64)
+    r, h = pair.r, pair.h
     lhs = dot(r[1:], h[1:])
-    S, H = prefix(r), prefix(h)
+    S, H = running_sums(r), running_sums(h)
     rhs = dot(h[1:], S[2:] + S[1:-1]) - 2 * dot(r[:-1], H[-1] - H[1:-1])
-    return _verdict(lhs, rhs, exact, tolerance)
+    return _verdict(lhs, rhs, pair.exact, tolerance)
 
 
 def bilinear_rhs(
@@ -153,30 +147,19 @@ def bilinear_rhs(
 def _bilinear_prefix(
     table: FunctionTable, x: int, prefix: PrefixSums | None = None
 ) -> int | float:
-    """The prefix route of :func:`bilinear_rhs`.
-
-    With no ``prefix``, exact payloads form their running sums first; float
-    payloads form each block's running sums next to the dot that reads
-    them, with the same bits as the route through :func:`prefix_sums`.
-    """
+    """The prefix route of :func:`bilinear_rhs`; with no ``prefix``,
+    :func:`running_dot` forms the sums, with the bits of :func:`prefix_sums`."""
     _check_range(table, x)
     vals = table.values[1:x]  # f(n) for n = 2..x
     bits = table._value_bits
-    if prefix is not None:
-        if prefix.kind != table.kind or prefix.is_exact != table.is_exact:
-            raise ValueError("prefix sums were built from a different table")
-        if prefix.limit < x - 1:
-            raise RangeError(f"prefix sums cover only 0..{prefix.limit}, need {x - 1}")
-        sums = prefix.sums[1:x]  # S(n-1) for n = 2..x
-        sum_bits = prefix._sum_bits
-    elif table.is_exact:
-        sums = exact_prefix_sums(table.values[: x - 1], bits)[1:]
-        sum_bits = bits + (x - 1).bit_length()
-    else:
-        return compensated_running_dot(vals, table.values[: x - 1])
-    if table.is_exact:
-        return exact_dot(vals, sums, (bits, sum_bits))
-    return compensated_dot(vals, sums)
+    if prefix is None:
+        return running_dot(vals, table.values[: x - 1], bits)
+    if prefix.kind != table.kind or prefix.is_exact != table.is_exact:
+        raise ValueError("prefix sums were built from a different table")
+    if prefix.limit < x - 1:
+        raise RangeError(f"prefix sums cover only 0..{prefix.limit}, need {x - 1}")
+    # S(n-1) for n = 2..x; float tables record no bounds, and need none.
+    return dot(vals, prefix.sums[1:x], (bits, prefix._sum_bits))
 
 
 def double_sum_lhs_oracle(
@@ -187,13 +170,8 @@ def double_sum_lhs_oracle(
     The independent quadratic-cost route: each outer n sums its inner range
     directly from the value array, never touching the prefix-sum machinery.
     """
-    if oracle_cap < 1:
-        raise ValueError(f"oracle cap must be >= 1, got {oracle_cap}")
+    _check_budget(x, oracle_cap)
     _check_range(table, x)
-    if x > oracle_cap:
-        raise BudgetExceeded(
-            f"oracle is quadratic; x={x} exceeds its cap {oracle_cap}"
-        )
     vals = table.values
     f = vals[:x].tolist()  # f[n - 1] is f(n)
     if table.is_exact:
@@ -213,15 +191,13 @@ def pair_sum_closed_form(table: FunctionTable, x: int) -> int | float:
     """sum over unordered pairs m < n <= x of f(m)·f(n), via ((Σf)² − Σf²)/2."""
     _check_range(table, x)
     vals = table.values[:x]
+    bits = table._value_bits
+    q = dot(vals, vals, (bits, bits))
     if table.is_exact:
-        bits = table._value_bits
         s = exact_sum(vals, bits)
-        q = exact_dot(vals, vals, (bits, bits))
-        num = s * s - q
         # s² and q have the same parity, so the pair count is integral.
-        return num // 2
+        return (s * s - q) // 2
     s = float(np.sum(vals))
-    q = compensated_dot(vals, vals)
     return (s * s - q) / 2.0
 
 

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _sieves
-from ._accum import _bits, _exact_operand, compensated_prefix_sums, exact_prefix_sums
+from ._accum import _bits, _exact_operand, running_sums
 from .errors import RangeError, UnsupportedKind
 
 
@@ -329,12 +329,9 @@ def prefix_sums(table: FunctionTable) -> PrefixSums:
     Exact payloads accumulate exactly; floating payloads use compensated
     blockwise summation so long prefixes stay accurate to ~2^-40 relative.
     """
-    head = table.values[: table.limit]
-    if not table.is_exact:
-        sums = compensated_prefix_sums(head)
-        return PrefixSums(table.kind, table.limit, sums)
-    sums = exact_prefix_sums(head, table._value_bits)
-    bound = table._value_bits + table.limit.bit_length()
+    bits = table._value_bits
+    sums = running_sums(table.values[: table.limit], bits)
+    bound = None if bits is None else bits + table.limit.bit_length()
     return PrefixSums(table.kind, table.limit, sums, bound)
 
 

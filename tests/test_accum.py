@@ -15,12 +15,11 @@ from corrlab._accum import (
     _SPLIT_BITS,
     _bits,
     _dot_exact_core,
-    compensated_dot,
-    compensated_prefix_sums,
     counted_dots,
-    exact_dot,
-    exact_prefix_sums,
+    dot,
     exact_sum,
+    running_dot,
+    running_sums,
 )
 
 
@@ -32,22 +31,22 @@ class TestExactDot:
     def test_small(self):
         a = np.array([1, 2, 3], dtype=np.int64)
         b = np.array([4, 5, 6], dtype=np.int64)
-        assert exact_dot(a, b) == 32
+        assert dot(a, b) == 32
 
     def test_empty(self):
         z = np.array([], dtype=np.int64)
-        assert exact_dot(z, z) == 0
+        assert dot(z, z) == 0
 
     def test_negative_values(self):
         a = np.array([-3, 7, -11], dtype=np.int64)
         b = np.array([5, -2, 9], dtype=np.int64)
-        assert exact_dot(a, b) == _python_dot(a, b)
+        assert dot(a, b) == _python_dot(a, b)
 
     def test_values_too_large_for_int64_product(self):
         # Each product is ~2^80; a straight int64 dot would wrap around.
         a = np.full(1000, 2**40, dtype=object)
         b = np.full(1000, 2**40, dtype=object)
-        assert exact_dot(np.array(a), np.array(b)) == 1000 * 2**80
+        assert dot(np.array(a), np.array(b)) == 1000 * 2**80
 
     def test_split_path_matches_oracle(self):
         # Magnitudes force the hi/lo split (bit budget exceeded for the
@@ -55,18 +54,18 @@ class TestExactDot:
         rng = random.Random(7)
         a = np.array([rng.randrange(-(2**30), 2**30) for _ in range(5000)], dtype=np.int64)
         b = np.array([rng.randrange(-(2**30), 2**30) for _ in range(5000)], dtype=np.int64)
-        assert exact_dot(a, b) == _python_dot(a, b)
+        assert dot(a, b) == _python_dot(a, b)
 
     def test_operands_at_the_int64_limits(self):
         lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
         edges = [lo, lo + 1, hi, hi - 1, -(2**62), 2**62, 2**62 - 1, 1 - 2**62, 0, 1, -1]
         a = np.array(edges * 3, dtype=np.int64)
         b = np.array(edges[::-1] * 3, dtype=np.int64)
-        assert exact_dot(a, b) == _python_dot(a, b)
-        assert exact_dot(a, a) == _python_dot(a, a)
+        assert dot(a, b) == _python_dot(a, b)
+        assert dot(a, a) == _python_dot(a, a)
         for v in edges:
             col = np.full(7, v, dtype=np.int64)
-            assert exact_dot(col, col) == 7 * int(v) ** 2
+            assert dot(col, col) == 7 * int(v) ** 2
             assert exact_sum(col) == 7 * int(v)
 
     def test_blocked_rows_and_tail(self):
@@ -78,7 +77,7 @@ class TestExactDot:
             a = np.full(31, sign * top, dtype=np.int64)
             b = np.full(31, top, dtype=np.int64)
             b[::5] = 2**29
-            assert exact_dot(a, b) == _python_dot(a, b)
+            assert dot(a, b) == _python_dot(a, b)
 
     def test_reversed_view(self):
         # type2 passes a negative-stride view as its second operand; 31-bit
@@ -86,14 +85,14 @@ class TestExactDot:
         rng = random.Random(17)
         vals = np.array([rng.randrange(2**30, 2**31) for _ in range(301)], dtype=np.int64)
         a, b = vals[:150], vals[151:][::-1]
-        assert exact_dot(a, b) == _python_dot(a, b)
+        assert dot(a, b) == _python_dot(a, b)
         assert exact_sum(b) == sum(int(v) for v in b)
 
     def test_chunked_path(self):
         n = (1 << 21) + 17
         a = np.ones(n, dtype=np.int64)
         b = np.arange(1, n + 1, dtype=np.int64)
-        assert exact_dot(a, b) == n * (n + 1) // 2
+        assert dot(a, b) == n * (n + 1) // 2
 
     @given(
         st.lists(
@@ -108,7 +107,7 @@ class TestExactDot:
     def test_matches_python_oracle(self, pairs):
         a = np.array([p[0] for p in pairs], dtype=np.int64)
         b = np.array([p[1] for p in pairs], dtype=np.int64)
-        assert exact_dot(a, b) == _python_dot(a, b)
+        assert dot(a, b) == _python_dot(a, b)
 
 
 @st.composite
@@ -139,7 +138,7 @@ class TestBoundedExactDot:
         b, wb = data.draw(_bounded_operand(n))
         want = _python_dot(a, b)
         assert _dot_exact_core(a, b, wa, wb) == want
-        assert exact_dot(a, b, (wa, wb)) == want
+        assert dot(a, b, (wa, wb)) == want
         # A looser bound takes another branch and gives the same value.
         assert _dot_exact_core(a, b, min(wa + 9, 64), min(wb + 9, 64)) == want
 
@@ -153,7 +152,7 @@ class TestBoundedExactDot:
         assert _bits(a) + _bits(a) > 62  # the split runs
         for b in (a, -a, np.abs(a)):
             assert _dot_exact_core(a, b, w, w) == _python_dot(a, b)
-            assert exact_dot(a, b) == _python_dot(a, b)
+            assert dot(a, b) == _python_dot(a, b)
 
     def test_int64_extremes(self):
         m = 2**63 - 1
@@ -194,7 +193,7 @@ class TestExactSumAndCumsum:
         rng = random.Random(13)
         vals = [rng.randrange(-(2**40), 2**40) for _ in range(500)]
         a = np.array(vals, dtype=np.int64)
-        out = exact_prefix_sums(a)
+        out = running_sums(a)
         running, expect = 0, [0]
         for v in vals:
             running += v
@@ -204,20 +203,20 @@ class TestExactSumAndCumsum:
     def test_cumsum_overflow_falls_back(self):
         # Partial sums exceed int64; the result must still be exact.
         a = np.full(10, 2**62, dtype=object)
-        out = exact_prefix_sums(np.array(a))
+        out = running_sums(np.array(a))
         assert int(out[0]) == 0 and int(out[-1]) == 10 * 2**62
 
     def test_prefix_sums_lead_with_zero(self):
-        out = exact_prefix_sums(np.array([3, -1, 4], dtype=np.int64))
+        out = running_sums(np.array([3, -1, 4], dtype=np.int64))
         assert out.dtype == np.int64 and out.tolist() == [0, 3, 2, 6]
         # 2**62 + 2**62 overflows int64, so the sums fall back to Python ints.
-        big = exact_prefix_sums(np.array([2**62, 2**62], dtype=np.int64))
+        big = running_sums(np.array([2**62, 2**62], dtype=np.int64))
         assert big.dtype == object and big.tolist() == [0, 2**62, 2**63]
 
     def test_empty(self):
         z = np.array([], dtype=np.int64)
         assert exact_sum(z) == 0
-        assert exact_prefix_sums(z).tolist() == [0]
+        assert running_sums(z).tolist() == [0]
 
 
 class TestUnsignedOperands:
@@ -235,10 +234,10 @@ class TestUnsignedOperands:
 
     def test_dot(self):
         a, b = self._pair()
-        assert exact_dot(a, b) == _python_dot(self.VALUES, self.VALUES[::-1])
+        assert dot(a, b) == _python_dot(self.VALUES, self.VALUES[::-1])
         # One uint64 operand next to an int64 one.
         c = np.arange(len(self.VALUES), dtype=np.int64) - 3
-        assert exact_dot(a, c) == _python_dot(self.VALUES, c.tolist())
+        assert dot(a, c) == _python_dot(self.VALUES, c.tolist())
 
     def test_prefix_sums(self):
         a, _ = self._pair()
@@ -246,7 +245,7 @@ class TestUnsignedOperands:
         for v in self.VALUES:
             running += v
             expect.append(running)
-        assert exact_prefix_sums(a).tolist() == expect
+        assert running_sums(a).tolist() == expect
 
 
 class TestCompensated:
@@ -255,12 +254,12 @@ class TestCompensated:
         a = np.array([rng.uniform(-1, 1) for _ in range(20_000)])
         b = np.array([rng.uniform(-1, 1) for _ in range(20_000)])
         expect = math.fsum(float(x) * float(y) for x, y in zip(a, b))
-        assert compensated_dot(a, b) == pytest.approx(expect, rel=1e-14, abs=1e-12)
+        assert dot(a, b) == pytest.approx(expect, rel=1e-14, abs=1e-12)
 
     def test_cumsum_final_entry_matches_fsum(self):
         rng = random.Random(5)
         vals = [rng.uniform(-1e8, 1e8) for _ in range(10_000)]
-        out = compensated_prefix_sums(np.array(vals))[1:]
+        out = running_sums(np.array(vals))[1:]
         assert out[-1] == pytest.approx(math.fsum(vals), rel=1e-12)
         # Each entry is a prefix sum of the input.
         assert out[42] == pytest.approx(math.fsum(vals[:43]), rel=1e-12)
@@ -271,7 +270,7 @@ class TestCompensated:
         rng = np.random.default_rng(19)
         block = 4096
         vals = rng.standard_normal(60 * block) * 10.0 ** rng.integers(-300, 300, 60 * block)
-        out = compensated_prefix_sums(vals)[1:]
+        out = running_sums(vals)[1:]
         totals = []
         for s in range(0, vals.size, block):
             chunk = vals[s : s + block]
@@ -281,8 +280,8 @@ class TestCompensated:
 
     def test_empty(self):
         z = np.array([], dtype=float)
-        assert compensated_dot(z, z) == 0.0
-        assert compensated_prefix_sums(z).tolist() == [0.0]
+        assert dot(z, z) == 0.0
+        assert running_sums(z).tolist() == [0.0]
 
 
 class TestCountedDots:
@@ -301,3 +300,34 @@ class TestCountedDots:
         for n, offsets in ((4, [3]), (7, [0]), (4, [-1])):
             with pytest.raises(ValueError):
                 counted_dots(a, a, n, offsets, 3)
+
+
+class TestDtypeDispatch:
+    """Each kernel takes exactness from its operands' dtype."""
+
+    def test_a_float_operand_is_not_truncated(self):
+        assert dot(np.array([0.5, 0.25]), np.ones(2)) == 0.75
+        assert dot(np.ones(2, dtype=np.int64), np.array([0.5, 0.25])) == 0.75
+
+    def test_counted_dots_reads_floats_from_the_dtype(self):
+        a, b = np.array([0.5, 0.25]), np.array([1.0, 1.0, 2.0])
+        # A bound passed with float operands is only a bound.
+        assert counted_dots(a, b, 2, [0], 3) == [(0.75, 2)]
+        assert counted_dots(a, b, 2, [0, 1], None) == [(0.75, 2), (1.0, 2)]
+
+    def test_counted_dots_measures_integer_operands_without_a_bound(self):
+        a = np.array([2**40, -(2**41), 3, 5], dtype=np.int64)
+        want = [(_python_dot(a[:3], a[o : o + 3]), 3) for o in (0, 1)]
+        assert counted_dots(a, a, 3, [0, 1], None) == want
+
+    @pytest.mark.parametrize("n", [0, 1, 4096, 3 * 4096 + 7])
+    def test_running_dot_is_dot_of_running_sums(self, n):
+        rng = np.random.default_rng(31)
+        ints = rng.integers(-(2**40), 2**40, (2, n))
+        for a, b, bits in ((ints[0], ints[1], 41), (*rng.standard_normal((2, n)), None)):
+            want = dot(a, running_sums(b)[1:])
+            assert running_dot(a, b) == want
+            assert running_dot(a, b, bits) == want
+        # 2**62 + 2**62 overflows int64, so the sums run on Python ints.
+        big = np.full(n, 2**62, dtype=np.int64)
+        assert running_dot(big, big, 63) == 2**124 * n * (n + 1) // 2

@@ -126,6 +126,53 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
 
+class TestRefusesBeforeSieving:
+    """Input that a run refuses is refused before any table is built; the
+    exit code and the error line are those of a refusal after the build."""
+
+    @pytest.fixture(autouse=True)
+    def no_sieve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_table ran")
+
+        monkeypatch.setattr(cli, "build_table", refuse)
+
+    @pytest.mark.parametrize(
+        "flags, code, line",
+        [
+            (["--x", "20000000"], 2,
+             "code=BUDGET oracle is quadratic; x=20000000 exceeds its cap 100000"),
+            (["--x", "100", "--tolerance", "-1"], 1,
+             "code=USAGE tolerance must be a positive finite number, got -1.0"),
+            (["--x", "100", "--oracle-cap", "0"], 1,
+             "code=USAGE oracle cap must be >= 1, got 0"),
+        ],
+        ids=["over-cap", "tolerance", "oracle-cap"],
+    )
+    def test_identity_check(self, capsys, flags, code, line):
+        got, out, err = run(capsys, "identity-check", "--kind", "eulerphi", *flags)
+        assert (got, out, err) == (code, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize(
+        "text, code, prefix",
+        [
+            ("kinds=vonmangoldt,bogus\n", 1,
+             "error: code=USAGE unknown function kind: 'bogus'"),
+            ("claims=thm3.1-twin,nosuch\n", 2,
+             "error: code=UNKNOWNCLAIM unknown claim 'nosuch'; known claims: "),
+        ],
+        ids=["kind", "claim"],
+    )
+    def test_report(self, capsys, tmp_path, text, code, prefix):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        got, _, err = run(capsys, "report", "--config", str(cfg), "--out-dir", str(out))
+        assert got == code
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestSieve:
     def test_summary_line(self, capsys):
         code, out, _ = run(capsys, "sieve", "--kind", "musquared", "--limit", "100")

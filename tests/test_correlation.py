@@ -24,7 +24,7 @@ from corrlab import (
     type1_sweep,
     type2,
 )
-from corrlab._accum import _CHUNK, _SAFE_PRODUCT_BITS, compensated_dot
+from corrlab._accum import _CHUNK, _SAFE_PRODUCT_BITS, dot
 
 
 class TestType1:
@@ -231,7 +231,7 @@ class TestChunkBoundaries:
             (type2(t, 2 * n + 2), arr[:n], arr[n + 1 : 2 * n + 1][::-1]),
         ]
         for r, a, b in cases:
-            assert r.value == compensated_dot(a, b)
+            assert r.value == dot(a, b)
             assert r.terms == int(np.count_nonzero((a != 0) & (b != 0)))
 
 
@@ -286,7 +286,7 @@ class TestSweepWalk:
         shifts = [4, 1, 3, 1]
         for r, l in zip(type1_sweep(t, x, shifts), shifts):
             a, b = arr[:x], arr[l : l + x]
-            assert r.value == compensated_dot(a, b)
+            assert r.value == dot(a, b)
             assert r.terms == int(np.count_nonzero((a != 0) & (b != 0)))
 
 

@@ -36,7 +36,7 @@ from corrlab import (
     prefix_sums,
 )
 from corrlab import _sieves, identity
-from corrlab._accum import _FLOAT_BLOCK, compensated_dot, compensated_prefix_sums
+from corrlab._accum import _FLOAT_BLOCK, dot, running_sums
 
 
 class TestGeneralAreaIdentity:
@@ -136,6 +136,26 @@ class TestGeneralAreaIdentity:
             SequencePair(r, [1, 2, 3])
         with pytest.raises(ValueError, match="sequence values must be finite"):
             SequencePair([1, 2, 3], r)
+
+    def test_mixed_pair_equals_the_float_pair(self):
+        # An integer sequence beside a float one is taken as floats.
+        r, h = [3, -1, 4, 1, 5, 2**40], [0.5, 2.25, -1.0, 3.5, 0.125, 1e-3]
+        mixed = general_area_identity(SequencePair(r, h))
+        floats = general_area_identity(SequencePair([float(v) for v in r], h))
+        assert not mixed.exact and mixed.equal
+        assert (mixed.lhs.hex(), mixed.rhs.hex()) == (floats.lhs.hex(), floats.rhs.hex())
+
+    @pytest.mark.parametrize(
+        "r, h",
+        [
+            ([2**1100, 1], [0.5, 1.0]),
+            (np.array([2**1100, 0.5], dtype=object), [1, 2]),
+        ],
+        ids=["beside", "within"],
+    )
+    def test_ints_past_float_range_beside_floats_are_refused(self, r, h):
+        with pytest.raises(ValueError, match="float64"):
+            SequencePair(r, h)
 
     def test_object_arrays_of_huge_ints_are_finite(self):
         # Past float range, so finiteness is never asked of float(v).
@@ -304,8 +324,8 @@ class TestFloatPrefixRoute:
     )
     def test_bits_equal_the_running_sum_array_route(self, x):
         t = build_table(VON_MANGOLDT, 3 * _FLOAT_BLOCK + 1)
-        sums = compensated_prefix_sums(t.values[: x - 1])[1:]
-        want = compensated_dot(t.values[1:x], sums).hex()
+        sums = running_sums(t.values[: x - 1])[1:]
+        want = dot(t.values[1:x], sums).hex()
         assert bilinear_rhs(t, x).hex() == want
         assert bilinear_rhs(t, x, prefix_sums(t)).hex() == want
 

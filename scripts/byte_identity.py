@@ -37,13 +37,20 @@ INVOCATIONS = (
     ["constants", "--kind", "musquared", "--x", "2", "--shift", "1"],
     ["sieve", "--kind", "divisor3", "--limit", "2000", "--headroom", "2",
      "--out", "table.csv"],
-    # Spans of 600064 cross the factor pass's window edges at 2^18 and 2^19.
+    # Spans of 600064 cross the window edges at 2^18 and 2^19.
     ["sieve", "--kind", "eulerphi", "--limit", "600000", "--headroom", "64",
      "--out", "table.csv"],
     ["sieve", "--kind", "divisor3", "--limit", "600000", "--headroom", "64",
      "--out", "table.csv"],
     # Λ's compensated prefix sums print as sum=.
     ["sieve", "--kind", "vonmangoldt", "--limit", "600000", "--headroom", "64",
+     "--out", "table.csv"],
+    # Every other window filler crosses the same edges.
+    ["sieve", "--kind", "musquared", "--limit", "600000", "--headroom", "64",
+     "--out", "table.csv"],
+    ["sieve", "--kind", "masterupsilon", "--limit", "600000", "--headroom", "64",
+     "--out", "table.csv"],
+    ["sieve", "--kind", "one", "--limit", "600000", "--headroom", "64",
      "--out", "table.csv"],
     # The payload follows the kind: no --mode flag, exit 1 with one usage line.
     ["sieve", "--kind", "divisor", "--limit", "2000", "--headroom", "2",

@@ -67,7 +67,6 @@ from .tables import (
     FunctionTable,
     PrefixSums,
     build_table,
-    mean_value_reference,
     prefix_sums,
 )
 
@@ -118,7 +117,6 @@ __all__ = [
     "general_area_identity",
     "heuristic_Mn",
     "identity_check",
-    "mean_value_reference",
     "pair_sum_closed_form",
     "prefix_sums",
     "type1",

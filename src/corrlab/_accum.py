@@ -4,7 +4,8 @@ Integer operands give Python ints, exact regardless of magnitude; a float
 operand takes the compensated route, so no caller picks a kernel.  Integer
 dtypes that cast to int64 without loss (every signed integer dtype, uint8
 to uint32, and bool) take the int64 path; uint64 operands and object arrays
-of Python ints are summed as Python ints, so no entry ever wraps.  On the
+of Python ints are summed as Python ints (:func:`counted_dots` refuses
+them), so no entry ever wraps.  On the
 int64 path a dot product runs as one ``np.dot`` when a conservative bound
 proves the whole reduction fits in int64; otherwise the products are formed
 in int64 when they fit and summed in rows short enough that no row total
@@ -40,6 +41,10 @@ _CHUNK = 1 << 16
 
 # Digit width for the high/low split of oversized operands.
 _SPLIT_BITS = 20
+
+# Float dtypes that cast to float64 without loss (np.can_cast also passes
+# int64 and uint64, whose large values float64 rounds).
+_FLOATS = (np.float16, np.float32, np.float64)
 
 # Block length over which a single np.dot / np.cumsum is accumulated before
 # the block result is handed to math.fsum.
@@ -142,7 +147,9 @@ def counted_dots(
     ``bits`` bounds the bit length of every |a[i]| and |b[i]| (a table
     records it once, so no window is scanned for it; ``None`` measures it
     once here).  The count is the number of products with both factors
-    nonzero (-0.0 counts as zero).
+    nonzero (-0.0 counts as zero).  An operand whose dtype casts to neither
+    int64 nor float64 without loss (uint64, object, long double, complex)
+    is refused with a ValueError, since the walk casts to one of them.
 
     One walk reads each window of ``_CHUNK`` entries of ``a``, and of ``b``
     plus a max(offsets) tail, from memory once; every offset's dot product
@@ -154,6 +161,12 @@ def counted_dots(
     reach = max(offsets)
     if min(offsets) < 0 or a.size < n or b.size < n + reach:
         raise ValueError(f"offsets {list(offsets)} read past the operands at n={n}")
+    for x in (a, b):
+        if not (np.can_cast(x.dtype, np.int64) or x.dtype in _FLOATS):
+            raise ValueError(
+                f"counted_dots needs operands that cast to int64 or float64 "
+                f"without loss, got {x.dtype}"
+            )
     exact = not _is_float(a, b)
     if exact and bits is None:
         bits = max(_bits(a[:n]), _bits(b[: n + reach]))

@@ -1,28 +1,44 @@
-"""Sieve kernels producing dense arithmetic-function value arrays.
+"""Sieves producing dense arithmetic-function value arrays.
 
-All kernels share the same indexing convention: position ``i`` of the output
-array holds the value at the integer ``n = i + 1``.  Every kind except Λ and
-μ² is a rule on the exponents in n = ∏ p^e and comes from one factor pass, the
-multiplicative-function sieve of Crandall & Pomerance, *Prime Numbers: A
-Computational Perspective*, ch. 3.  The pass is segmented (Bays & Hudson,
-*BIT* 17, 1977): it sieves n in windows of ``_WINDOW`` entries, and instead
-of dividing each prime power out of n it multiplies the small prime powers
-of n into a ``smooth`` product, then divides once per n to find the one
-prime above √span that may be left.
+Position ``i`` of an output array holds the value at the integer ``n = i + 1``.
+:func:`sieve` is the one loop: it walks the span in windows of ``_WINDOW``
+entries (the segmented sieve of Bays & Hudson, *BIT* 17, 1977) and hands
+each window, a view of the output, to its kind's filler.  A filler writes
+n = lo + 1 .. lo + size from state built once from the primes <= √span, so
+no temporary spans the whole range.
+
+- d_l, φ, λ and Ω are rules on the exponents in n = ∏ p^e and share one
+  factor pass, the multiplicative-function sieve of Crandall & Pomerance,
+  *Prime Numbers: A Computational Perspective*, ch. 3 (:func:`_fold_window`).
+- Λ is a segmented prime sieve: the multiples of each prime p <= √span are
+  crossed off from p², what is left is prime, and the prime powers p^k >= p²
+  are written from a list.
+- μ² zeroes the window's multiples of every p².
+- Υ folds a window of Ω into the window's own bytes and writes log n where
+  Ω(n) = 2.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
-# Entries per window of the factor pass.  On a 4 MiB L2, 2¹⁶-entry windows
-# spend their time in per-prime Python calls.  2²⁰ builds φ at 10⁷ about
-# 20 % faster than 2¹⁸ but is slower at 10⁶, and its larger freed
-# temporaries lift glibc's mmap threshold, which raised the peak RSS of a
-# later 10⁷ workload by 10 MiB.
+# Entries per window.  On a 4 MiB L2, 2¹⁶-entry windows spend their time in
+# per-prime Python calls.  2²⁰ builds φ at 10⁷ about 20 % faster than 2¹⁸
+# but is slower at 10⁶, and its larger freed temporaries lift glibc's mmap
+# threshold, which raised the peak RSS of a later 10⁷ workload by 10 MiB.
 _WINDOW = 1 << 18
+
+# rule(p, e) and how rules combine, for the kinds the factor pass builds.
+# Every rule must also accept an array of primes at e = 1; at e = 1, φ's
+# rule skips the p ** 0 temporary.
+_RULES = {
+    "eulerphi": (lambda p, e: (p - 1) * p ** (e - 1) if e > 1 else p - 1, np.multiply),
+    "liouville": (lambda p, e: (-1) ** e, np.multiply),
+    "bigomega": (lambda p, e: e, np.add),
+}
 
 
 def primes_upto(span: int) -> np.ndarray:
@@ -35,28 +51,45 @@ def primes_upto(span: int) -> np.ndarray:
     return np.nonzero(flags)[0]
 
 
-def _factor_pass(span: int, rule, combine=np.multiply) -> np.ndarray:
-    """Fold ``rule(p, e)`` over n = ∏ p^e for every n <= span.
-
-    ``combine`` is ``np.multiply`` for multiplicative functions and ``np.add``
-    for additive ones.  ``rule`` must also accept an array of primes at
-    e = 1.  The lookup rule(p, 0..top) of each prime p <= √span is built
-    once; :func:`_fold_window` then folds the lookups into one window of
-    ``_WINDOW`` entries at a time and multiplies the small prime powers of
-    each n into a ``smooth`` product instead of dividing them out, so no
-    temporary spans the whole range (the segmented sieve of Bays & Hudson,
-    *BIT* 17, 1977).
+def sieve(name: str, order: int, span: int) -> np.ndarray:
+    """f(1..span) for the kind labelled ``name`` (a ``Variant`` value;
+    ``order`` is the divisor tower's height): int64, or float64 for Λ and Υ.
     """
-    out = np.empty(span, dtype=np.int64)
+    primes = primes_upto(math.isqrt(span)).tolist()
+    dtype = np.int64
+    if name == "divisor":
+        rule = lambda p, e: math.comb(e + order - 1, order - 1)
+        fill = _factor_filler(span, primes, rule, np.multiply)
+    elif name in _RULES:
+        fill = _factor_filler(span, primes, *_RULES[name])
+    elif name == "one":
+        fill = lambda win, lo: win.fill(1)
+    elif name == "musquared":
+        fill = partial(_squarefree_window, [p * p for p in primes])
+    elif name == "vonmangoldt":
+        dtype, fill = np.float64, _prime_power_filler(span, primes)
+    elif name == "masterupsilon":
+        omega = _factor_filler(span, primes, *_RULES["bigomega"])
+        dtype, fill = np.float64, partial(_semiprime_window, omega)
+    out = np.empty(span, dtype=dtype)
+    for lo in range(0, span, _WINDOW):
+        fill(out[lo : lo + _WINDOW], lo)
+    return out
+
+
+def _factor_filler(span: int, primes: list[int], rule, combine):
+    """The factor pass's filler: ``combine`` is ``np.multiply`` for
+    multiplicative functions and ``np.add`` for additive ones.  The lookup
+    rule(p, 0..top) of each prime p <= √span, where p^top <= span < p^(top+1),
+    is built once.
+    """
     lookups = []
-    for p in primes_upto(math.isqrt(span)).tolist():
+    for p in primes:
         top, q = 1, p * p
         while q <= span:
             top, q = top + 1, q * p
         lookups.append((p, np.array([rule(p, k) for k in range(top + 1)], np.int64)))
-    for lo in range(0, span, _WINDOW):
-        _fold_window(out[lo : lo + _WINDOW], lo, lookups, rule, combine)
-    return out
+    return partial(_fold_window, lookups=lookups, rule=rule, combine=combine)
 
 
 def _fold_window(win: np.ndarray, lo: int, lookups, rule, combine) -> None:
@@ -66,9 +99,9 @@ def _fold_window(win: np.ndarray, lo: int, lookups, rule, combine) -> None:
     multiples of p, and the strides of p², p³, ... overwrite it with
     rule(p, k) on the multiples of p^k, so it holds rule(p, e) for the
     exponent e of p in each multiple; it is folded into win, and p^e is
-    multiplied into ``smooth``.  Then n // smooth, one division per n, is 1
-    or the single prime P > √span that divides n, which contributes
-    rule(P, 1).
+    multiplied into ``smooth`` instead of divided out of n.  Then
+    n // smooth, one division per n, is 1 or the single prime P > √span
+    that divides n, which contributes rule(P, 1).
     """
     size = win.size
     # smooth divides n, so it fits int32 wherever n does.
@@ -95,60 +128,47 @@ def _fold_window(win: np.ndarray, lo: int, lookups, rule, combine) -> None:
     combine(win, (rest > 1) * (rule(rest, 1) - ident) + ident, out=win)
 
 
-def constant_one(span: int) -> np.ndarray:
-    return np.ones(span, dtype=np.int64)
+def _squarefree_window(squares: list[int], win: np.ndarray, lo: int) -> None:
+    """μ²: one, then zero on the window's multiples of each p² <= span."""
+    win.fill(1)
+    for q in squares:
+        win[-(lo + 1) % q :: q] = 0
 
 
-def divisor_tower(span: int, order: int) -> np.ndarray:
-    """d_l values: the number of ordered l-tuples multiplying to n."""
-    return _factor_pass(span, lambda p, e: math.comb(e + order - 1, order - 1))
-
-
-def euler_phi(span: int) -> np.ndarray:
-    """Euler totient, p^(e-1)(p-1) per prime power."""
-    # At e = 1, p is the array of leftover primes: skip the p ** 0 temporary.
-    return _factor_pass(
-        span, lambda p, e: (p - 1) * p ** (e - 1) if e > 1 else p - 1
-    )
-
-
-def mu_squared(span: int) -> np.ndarray:
-    """Squarefree indicator: zero on the multiples of every square p²."""
-    out = np.ones(span, dtype=np.int64)
-    for p in primes_upto(math.isqrt(span)).tolist():
-        out[p * p - 1 :: p * p] = 0
-    return out
-
-
-def big_omega(span: int) -> np.ndarray:
-    """Number of prime factors with multiplicity."""
-    return _factor_pass(span, lambda p, e: e, np.add)
-
-
-def liouville(span: int) -> np.ndarray:
-    """(-1)^[number of prime factors with multiplicity]."""
-    return _factor_pass(span, lambda p, e: (-1) ** e)
-
-
-def von_mangoldt(span: int) -> np.ndarray:
-    """log p at prime powers p^k, zero elsewhere."""
-    lam = np.zeros(span, dtype=np.float64)
-    primes = primes_upto(span)
-    # math.log, not np.log: the two differ in the last ulp on some primes.
-    logs = np.fromiter(map(math.log, primes.tolist()), np.float64, primes.size)
-    lam[primes - 1] = logs
-    small = primes <= math.isqrt(span)
-    for p, logp in zip(primes[small].tolist(), logs[small].tolist()):
+def _prime_power_filler(span: int, primes: list[int]):
+    """Λ's filler: log p at the prime powers p^k, zero elsewhere.  The prime
+    powers p^k >= p² <= span and their logs are listed once."""
+    powers, logs = [], []
+    for p in primes:
         q = p * p
         while q <= span:
-            lam[q - 1] = logp
+            powers.append(q)
+            logs.append(math.log(p))
             q *= p
-    return lam
+    powers, logs = np.array(powers, dtype=np.int64), np.array(logs)
+
+    def fill(win: np.ndarray, lo: int) -> None:
+        size = win.size
+        flags = np.ones(size, dtype=bool)  # flags[i] <=> lo + 1 + i is prime
+        if lo == 0:
+            flags[0] = False  # n = 1
+        for p in primes:
+            flags[max(p * p, lo + 1 + -(lo + 1) % p) - lo - 1 :: p] = False
+        at = np.flatnonzero(flags)
+        win.fill(0.0)
+        # math.log, not np.log: the two differ in the last ulp on some primes.
+        win[at] = np.fromiter(map(math.log, (at + lo + 1).tolist()), np.float64, at.size)
+        hit = (powers > lo) & (powers <= lo + size)
+        win[powers[hit] - lo - 1] = logs[hit]
+
+    return fill
 
 
-def master_upsilon(span: int) -> np.ndarray:
-    """log n on integers with exactly two prime factors (with multiplicity)."""
-    support = np.flatnonzero(big_omega(span) == 2)  # n - 1 for each such n
-    out = np.zeros(span, dtype=np.float64)
-    out[support] = np.log(support + 1.0)
-    return out
+def _semiprime_window(omega, win: np.ndarray, lo: int) -> None:
+    """Υ: log n where Ω(n) = 2, zero elsewhere.  The window of Ω is folded
+    into win's own bytes, viewed as int64, before the logs replace it."""
+    big_omega = win.view(np.int64)
+    omega(big_omega, lo)
+    at = np.flatnonzero(big_omega == 2)
+    win.fill(0.0)
+    win[at] = np.log(at + (lo + 1.0))

@@ -18,7 +18,13 @@ from . import minoverlap as mo
 from .config import ExperimentConfig
 from .correlation import type1_sweep, type2
 from .errors import ConfigError, CorrlabError
-from .identity import _check_budget, _check_tolerance, identity_check
+from .identity import (
+    DEFAULT_ORACLE_CAP,
+    DEFAULT_TOLERANCE,
+    _check_budget,
+    _check_tolerance,
+    identity_check,
+)
 from .report import (
     CLAIM_HEADER,
     CORRELATION_HEADER,
@@ -70,8 +76,8 @@ def build_parser() -> _Parser:
     ip.add_argument("--kind", required=True)
     ip.add_argument("--x", type=int, required=True)
     ip.add_argument("--exact", action="store_true", help="require literal equality")
-    ip.add_argument("--tolerance", type=float, default=1e-9)
-    ip.add_argument("--oracle-cap", type=int, default=100_000)
+    ip.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    ip.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     ip.set_defaults(func=_cmd_identity_check)
 
     cp = sub.add_parser("correlate", help="shifted or representation sums")

@@ -9,7 +9,6 @@ across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -284,17 +283,6 @@ class PrefixSums:
         return int(v) if self.is_exact else float(v)
 
 
-_SIEVES = {
-    Variant.CONSTANT_ONE: _sieves.constant_one,
-    Variant.EULER_PHI: _sieves.euler_phi,
-    Variant.MU_SQUARED: _sieves.mu_squared,
-    Variant.BIG_OMEGA: _sieves.big_omega,
-    Variant.LIOUVILLE: _sieves.liouville,
-    Variant.VON_MANGOLDT: _sieves.von_mangoldt,
-    Variant.MASTER_UPSILON: _sieves.master_upsilon,
-}
-
-
 def build_table(
     kind: FunctionKind, limit: int, shift_headroom: int = 0
 ) -> FunctionTable:
@@ -315,12 +303,8 @@ def build_table(
         raise ValueError(f"shift_headroom must be >= 0, got {shift_headroom}")
     if kind.variant is Variant.CUSTOM:
         raise UnsupportedKind("custom kinds are built via FunctionTable.from_values")
-    span = limit + shift_headroom
-    if kind.variant is Variant.DIVISOR:
-        raw = _sieves.divisor_tower(span, kind.order)
-    else:
-        raw = _SIEVES[kind.variant](span)
-    return FunctionTable(kind, limit, shift_headroom, raw)
+    values = _sieves.sieve(kind.variant.value, kind.order, limit + shift_headroom)
+    return FunctionTable(kind, limit, shift_headroom, values)
 
 
 def prefix_sums(table: FunctionTable) -> PrefixSums:
@@ -333,27 +317,3 @@ def prefix_sums(table: FunctionTable) -> PrefixSums:
     sums = running_sums(table.values[: table.limit], bits)
     bound = None if bits is None else bits + table.limit.bit_length()
     return PrefixSums(table.kind, table.limit, sums, bound)
-
-
-def mean_value_reference(kind: FunctionKind, x: int) -> float:
-    """Leading-term reference for the summatory function at x.
-
-    Only kinds with an established leading term are supported; the Liouville
-    and prime-factor-count kinds have none here and raise UnsupportedKind.
-    """
-    if x < 3:
-        raise ValueError(f"x must be >= 3 so log log x is defined, got {x}")
-    xf = float(x)
-    v = kind.variant
-    if v is Variant.VON_MANGOLDT or v is Variant.CONSTANT_ONE:
-        return xf
-    if v is Variant.DIVISOR:
-        l = kind.order
-        return xf * math.log(xf) ** (l - 1) / math.factorial(l - 1)
-    if v is Variant.EULER_PHI:
-        return (3.0 / math.pi**2) * xf * xf
-    if v is Variant.MU_SQUARED:
-        return (6.0 / math.pi**2) * xf
-    if v is Variant.MASTER_UPSILON:
-        return xf * math.log(math.log(xf))
-    raise UnsupportedKind(f"no reference mean value for {kind.label}")

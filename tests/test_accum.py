@@ -301,6 +301,21 @@ class TestCountedDots:
             with pytest.raises(ValueError):
                 counted_dots(a, a, n, offsets, 3)
 
+    def test_refuses_operands_that_would_wrap(self):
+        # Cast straight to int64, 2**63 + 5 would wrap to a negative term.
+        with pytest.raises(ValueError, match="uint64"):
+            counted_dots(
+                np.array([2**63 + 5, 3], dtype=np.uint64),
+                np.ones(2, dtype=np.uint64),
+                2,
+                [0],
+                None,
+            )
+        for dtype in (object, np.complex128):
+            a = np.ones(3, dtype=dtype)
+            with pytest.raises(ValueError, match="without loss"):
+                counted_dots(a, np.ones(3), 2, [0], None)
+
 
 class TestDtypeDispatch:
     """Each kernel takes exactness from its operands' dtype."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -333,25 +332,39 @@ class TestFloatPrefixRoute:
 class TestMemory:
     """tracemalloc guards on the O(x) routes' temporaries."""
 
-    @pytest.mark.parametrize(
-        "sieve",
-        [_sieves.euler_phi, partial(_sieves.divisor_tower, order=3), _sieves.big_omega],
-        ids=["eulerphi", "divisor3", "bigomega"],
-    )
-    def test_factor_pass_peaks_at_its_output_plus_two_windows(self, sieve):
+    @pytest.mark.parametrize("label", ["eulerphi", "divisor3", "bigomega"])
+    def test_factor_pass_peaks_at_its_output_plus_two_windows(self, label):
         # A pass with full-length temporaries peaks at 2.5x its output here;
         # a window's temporaries take about 13 bytes per entry.
+        kind = FunctionKind.parse(label)
         span = 3 * _sieves._WINDOW + 5
         window_bytes = 8 * _sieves._WINDOW
-        assert _peak_bytes(lambda: sieve(span)) < 8 * span + 2 * window_bytes
+        assert _peak_bytes(lambda: build_table(kind, span)) < 8 * span + 2 * window_bytes
 
-    def test_upsilon_peaks_below_twice_its_output(self):
-        # Ω's int64 pass peaks at its output plus two windows, under 8·span
-        # here; the log step then holds the zeroed float output and three
-        # float64/int64 arrays over the Ω = 2 support, a fifth of the span.
-        # A log over the whole span needs two more full-length arrays.
-        span = 3 * _sieves._WINDOW + 5
-        assert _peak_bytes(lambda: _sieves.master_upsilon(span)) < 2 * 8 * span
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "one",
+            "vonmangoldt",
+            "eulerphi",
+            "musquared",
+            "liouville",
+            "bigomega",
+            "masterupsilon",
+            "divisor2",
+            "divisor3",
+        ],
+    )
+    def test_every_kind_peaks_below_its_output_plus_three_windows(
+        self, label, monkeypatch
+    ):
+        # Every kind sieves window by window: a whole-span flag array, prime
+        # list or Ω table would cost several windows at 16 of them.
+        monkeypatch.setattr(_sieves, "_WINDOW", 1 << 16)
+        kind = FunctionKind.parse(label)
+        span = 16 * _sieves._WINDOW + 5
+        window_bytes = 8 * _sieves._WINDOW
+        assert _peak_bytes(lambda: build_table(kind, span)) < 8 * span + 3 * window_bytes
 
     def test_float_bilinear_writes_no_running_sum_array(self):
         t = build_table(VON_MANGOLDT, 10**5)

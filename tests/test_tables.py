@@ -28,7 +28,6 @@ from corrlab import (
     RangeError,
     UnsupportedKind,
     build_table,
-    mean_value_reference,
     prefix_sums,
     type1,
 )
@@ -240,17 +239,6 @@ def value_oracle(kind: FunctionKind, n: int, exps: dict[int, int]):
     return math.prod(math.comb(e + l - 1, l - 1) for e in exps.values())
 
 
-# The kinds that come from the windowed factor pass.
-FACTOR_KINDS = [
-    EULER_PHI,
-    LIOUVILLE,
-    BIG_OMEGA,
-    MASTER_UPSILON,
-    FunctionKind.divisor(2),
-    FunctionKind.divisor(3),
-]
-
-
 @functools.cache
 def oracle_values(kind: FunctionKind) -> list:
     return [
@@ -278,7 +266,7 @@ class TestFactorSieve:
         assert_matches_oracle(kind, [*range(1, 41), ORACLE_SPAN])
 
     @pytest.mark.parametrize("window", [1, 2, 3, 7, 64])
-    @pytest.mark.parametrize("kind", FACTOR_KINDS, ids=lambda k: k.label)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
     def test_any_window_length_matches_oracle(self, kind, window, monkeypatch):
         # Spans 1..40 and 289..300 end the last window at every offset for
         # windows up to 12 (and at 1..44 of 64); 289 = 17^2 adds a prime.
@@ -286,7 +274,7 @@ class TestFactorSieve:
         monkeypatch.setattr(_sieves, "_WINDOW", window)
         assert_matches_oracle(kind, [*range(1, 41), *range(289, 301)])
 
-    @pytest.mark.parametrize("kind", FACTOR_KINDS, ids=lambda k: k.label)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
     def test_window_edges_at_oracle_span(self, kind, monkeypatch):
         # 25 windows of 2^12: n = 2^16 and most p^2 sit past a window edge.
         monkeypatch.setattr(_sieves, "_WINDOW", 1 << 12)
@@ -409,33 +397,6 @@ class TestPrefixSums:
     def test_refuses_dtypes_other_than_int64_object_and_float64(self, sums):
         with pytest.raises(ValueError, match="int64, object or float64"):
             PrefixSums(CONSTANT_ONE, 2, sums)
-
-
-class TestMeanValueReference:
-    def test_values(self):
-        x = 1000
-        assert mean_value_reference(VON_MANGOLDT, x) == pytest.approx(x)
-        assert mean_value_reference(CONSTANT_ONE, x) == x
-        assert mean_value_reference(EULER_PHI, x) == pytest.approx(3 / math.pi**2 * x * x)
-        assert mean_value_reference(MU_SQUARED, x) == pytest.approx(6 / math.pi**2 * x)
-        assert mean_value_reference(FunctionKind.divisor(2), x) == pytest.approx(
-            x * math.log(x)
-        )
-        assert mean_value_reference(FunctionKind.divisor(4), x) == pytest.approx(
-            x * math.log(x) ** 3 / 6
-        )
-        assert mean_value_reference(MASTER_UPSILON, x) == pytest.approx(
-            x * math.log(math.log(x))
-        )
-
-    def test_unsupported(self):
-        for kind in (LIOUVILLE, BIG_OMEGA, FunctionKind.custom("z")):
-            with pytest.raises(UnsupportedKind):
-                mean_value_reference(kind, 1000)
-
-    def test_small_x_rejected(self):
-        with pytest.raises(ValueError):
-            mean_value_reference(CONSTANT_ONE, 2)
 
 
 class TestFunctionKind:

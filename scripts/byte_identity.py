@@ -62,9 +62,14 @@ INVOCATIONS = (
     # Over the oracle's cap: exit 2 with one BUDGET line.
     ["identity-check", "--kind", "eulerphi", "--x", "20000000"],
     ["minoverlap", "--n", "14", "--exact", "--out", "mo.csv"],
+    # The exhaustive search at the benchmark's size and at the default cap.
+    ["minoverlap", "--n", "20", "--exact", "--out", "mo.csv"],
+    ["minoverlap", "--n", "24", "--exact"],
     ["minoverlap", "--n", "40", "--heuristic", "--budget", "5000", "--out", "mo.csv"],
     # The annealer at the default budget, and at n = 2, where nothing moves.
+    # Seed 9 is a second trajectory, one that reaches M = 41.
     ["minoverlap", "--n", "200", "--heuristic", "--seed", "3", "--out", "mo.csv"],
+    ["minoverlap", "--n", "200", "--heuristic", "--seed", "9", "--out", "mo.csv"],
     ["minoverlap", "--n", "2", "--heuristic"],
     # Caps below any input: exit 1 with one usage line.
     ["identity-check", "--kind", "divisor", "--x", "10", "--oracle-cap", "-1"],

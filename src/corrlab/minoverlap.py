@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 import numpy as np
 
@@ -21,6 +20,9 @@ from .errors import CapExceeded
 
 #: Default ceiling for the exhaustive search; the space is C(n-1, n/2-1).
 DEFAULT_EXACT_CAP = 24
+
+#: Masks the exhaustive search scores at a time; bounds its temporaries.
+_CHUNK = 1 << 14
 
 #: Default move budget for the annealing search.
 DEFAULT_BUDGET = 100_000
@@ -161,20 +163,15 @@ def _lex_less(a: int, b: int) -> bool:
     return d != 0 and not a & d & -d
 
 
-def _hist_max_bitmask(mask_a: int, mask_b: int, n: int, abort_above: int) -> int:
-    """Max M_k via shifted popcounts; bails out once it exceeds the cutoff."""
-    best = 0
+def _max_overlaps(mask_a: np.ndarray, n: int) -> np.ndarray:
+    """Max M_k of each splitting of {1..n} whose A is a uint64 mask in
+    ``mask_a``.  With B the rest, A & (B << k) has a bit per solution of
+    a − b = k and A & (B >> k) one per a − b = −k; M_0 is always 0."""
+    mask_b = mask_a ^ np.uint64((1 << n) - 1)
+    best = np.zeros(len(mask_a), dtype=np.uint8)
     for k in range(1, n):
-        c = (mask_a & (mask_b << k)).bit_count()  # solutions of a - b = k
-        if c > best:
-            best = c
-            if best > abort_above:
-                return best
-        c = (mask_a & (mask_b >> k)).bit_count()  # solutions of a - b = -k
-        if c > best:
-            best = c
-            if best > abort_above:
-                return best
+        np.maximum(best, np.bitwise_count(mask_a & (mask_b << k)), out=best)
+        np.maximum(best, np.bitwise_count(mask_a & (mask_b >> k)), out=best)
     return best
 
 
@@ -261,31 +258,32 @@ def exact_Mn(n: int, cap: int = DEFAULT_EXACT_CAP) -> OverlapResult:
 
     Fixing 1 ∈ A loses nothing: swapping the halves reflects the histogram
     (k to −k) and leaves its max unchanged.  Every splitting with 1 ∈ A is
-    scored, and ties at the optimum keep the lexicographically smallest
-    membership sequence.
+    scored in numpy, :data:`_CHUNK` at a time, through its mirror x → n+1−x,
+    which reflects the histogram too (:func:`_max_overlaps`).  The mirror's
+    mask read from its top bit down is the membership sequence, so masks
+    ascend in lexicographic order and ties at the optimum keep the smallest.
+    Masks are uint64, so n above 64 is refused whatever the cap.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 2, got {n}")
     if cap < 2:
         raise ValueError(f"cap must be >= 2, got {cap}")
-    if n > cap:
+    if n > min(cap, 64):  # masks are uint64
         raise CapExceeded(
             f"exhaustive search over C({n - 1},{n // 2 - 1}) splittings "
-            f"refused: n={n} exceeds cap {cap}"
+            f"refused: n={n} exceeds cap {min(cap, 64)}"
         )
-    full = (1 << n) - 1
-    half = n // 2
-    best_m = n * n  # above any achievable max
-    best_mask = 0
-    for rest in combinations(range(2, n + 1), half - 1):
-        mask_a = 1
-        for e in rest:
-            mask_a |= 1 << (e - 1)
-        m = _hist_max_bitmask(mask_a, full ^ mask_a, n, abort_above=best_m)
-        if m < best_m or (m == best_m and _lex_less(mask_a, best_mask)):
-            best_m = m
-            best_mask = mask_a
-    witness = Splitting(n, best_mask)
+    top = 1 << n - 1  # element 1 of A, in the mirror's mask
+    best_m, best = n, 0  # n is above any achievable max
+    for lo in range(0, top, _CHUNK):
+        rest = np.arange(lo, min(lo + _CHUNK, top), dtype=np.uint64)
+        mirror = rest[np.bitwise_count(rest) == n // 2 - 1] | top
+        if len(mirror):
+            m = _max_overlaps(mirror, n)
+            i = int(m.argmin())  # the first optimum, so the least string
+            if m[i] < best_m:
+                best_m, best = int(m[i]), int(mirror[i])
+    witness = Splitting.from_bits(f"{best:0{n}b}")
     return _finalize(
         OverlapResult(n=n, m=best_m, witness=witness, method="exhaustive")
     )
@@ -296,6 +294,12 @@ def _lane_bits(n: int) -> int:
     spare, fits below the lane's top bit, which :func:`_max_lane` uses as its
     flag."""
     return (n // 2 + 4).bit_length() + 1
+
+
+def _lane_table(n: int, bits: int) -> tuple[list[int], list[int]]:
+    """Lane x's shift ``bits*x`` and its unit ``1 << bits*x``, x in 0..2n."""
+    shift = [bits * x for x in range(2 * n + 1)]
+    return shift, [1 << s for s in shift]
 
 
 def _pack(values, bits: int) -> int:
@@ -321,7 +325,8 @@ def _pack_splitting(s: Splitting, bits: int) -> tuple[int, int, int]:
 
 
 def _swap_packed(
-    counts: int, a_lanes: int, r_lanes: int, a: int, b: int, n: int, bits: int
+    counts: int, a_lanes: int, r_lanes: int, a: int, b: int, n: int,
+    shift: list[int], unit: list[int],
 ) -> int:
     """Packed difference counts after swapping a (in A) with b (in B).
 
@@ -331,16 +336,17 @@ def _swap_packed(
     reversed B) that puts it at lane k + n.  Every term lands inside lanes
     0..2n and every final lane is a count in [0, n/2], so the sum is exact
     lane by lane: no lane carries into or borrows from its neighbour.
+    ``shift`` and ``unit`` are :func:`_lane_table`'s.
     """
     return (
         counts
-        + (a_lanes >> bits * a)
-        + (r_lanes >> bits * (n - b))
-        + (1 << bits * (a - b + n))
-        + (1 << bits * (b - a + n))
-        - (a_lanes >> bits * b)
-        - (r_lanes >> bits * (n - a))
-        - (2 << bits * n)
+        + (a_lanes >> shift[a])
+        + (r_lanes >> shift[n - b])
+        + unit[a - b + n]
+        + unit[b - a + n]
+        - (a_lanes >> shift[b])
+        - (r_lanes >> shift[n - a])
+        - (unit[n] << 1)
     )
 
 
@@ -380,13 +386,13 @@ def heuristic_Mn(
     cross-correlation Σ_x α[x]·β[x−k] of A's and B's 0/1 indicators, so a
     swap changes it by four shifted indicators.  The counts and indicators
     live in lanes of three Python ints, so a move is scored with a few
-    whole-int shifts and adds (:func:`_swap_packed`) and its max found by
-    stepping a lane-parallel threshold test from the current max
-    (:func:`_max_lane`); per move this costs O(n) bit operations but no
-    per-call numpy overhead, which wins at the sizes this module runs
-    (n up to about 500) and loses above them.  Cooling
-    is geometric from a temperature chosen so roughly half the uphill moves
-    seen in a short warmup would accept.  The witness is the best state
+    whole-int shifts and adds read from a lane table built once per run
+    (:func:`_swap_packed`) and its max found by stepping a lane-parallel
+    threshold test from the current max (:func:`_max_lane`); per move this
+    costs O(n) bit operations but no per-call numpy overhead, which wins at
+    the sizes this module runs (n up to about 500) and loses above them.
+    Cooling is geometric from a temperature chosen so roughly half the
+    uphill moves seen in a short warmup would accept.  The witness is the best state
     visited; ties at its max keep the lexicographically smallest membership
     sequence, the order :func:`exact_Mn` uses.  The achieved max is always
     an upper bound on the true M(n); element 1 stays pinned in A, which
@@ -406,7 +412,8 @@ def heuristic_Mn(
     b_list = [v for v in range(1, n + 1) if v not in a_set]
     start = Splitting.from_a(n, a_list)
     bits = _lane_bits(n)
-    ones = _pack([1] * (2 * n + 1), bits)
+    shift, unit = _lane_table(n, bits)
+    ones = sum(unit)
     top = ones << bits - 1
     counts, a_lanes, r_lanes = _pack_splitting(start, bits)
     cur_max = _max_lane(counts, 0, ones, top)
@@ -415,16 +422,20 @@ def heuristic_Mn(
     best_max = cur_max
     best_mask = mask
 
+    randrange, random_, exp = rng.randrange, rng.random, math.exp
+
     def propose():
-        i = rng.randrange(1, half)  # never moves the pinned element 1
-        j = rng.randrange(half)
+        i = randrange(1, half)  # never moves the pinned element 1
+        j = randrange(half)
         return i, j
 
     # Warmup: size the starting temperature from observed uphill deltas.
     uphill: list[int] = []
     for _ in range(min(100, steps)):
         i, j = propose()
-        cand = _swap_packed(counts, a_lanes, r_lanes, a_list[i], b_list[j], n, bits)
+        cand = _swap_packed(
+            counts, a_lanes, r_lanes, a_list[i], b_list[j], n, shift, unit
+        )
         m_new = _max_lane(cand, cur_max, ones, top)
         if m_new > cur_max:
             uphill.append(m_new - cur_max)
@@ -433,24 +444,23 @@ def heuristic_Mn(
         t0 = max(0.5, uphill[len(uphill) // 2] / math.log(2.0))
     else:
         t0 = 1.0
-    t_end = 0.05
+    decay = 0.05 / t0  # the temperature falls to 0.05 at the last step
+    last = max(1, budget - 1)
 
     for step in range(steps):
-        frac = step / max(1, budget - 1)
-        temp = t0 * (t_end / t0) ** frac
         i, j = propose()
         a = a_list[i]
         b = b_list[j]
-        cand = _swap_packed(counts, a_lanes, r_lanes, a, b, n, bits)
+        cand = _swap_packed(counts, a_lanes, r_lanes, a, b, n, shift, unit)
         m_new = _max_lane(cand, cur_max, ones, top)
         delta = m_new - cur_max
-        if delta <= 0 or rng.random() < math.exp(-delta / temp):
+        if delta <= 0 or random_() < exp(-delta / (t0 * decay ** (step / last))):
             counts = cand
             cur_max = m_new
             a_list[i] = b
             b_list[j] = a
-            a_lanes += (1 << bits * (b + n)) - (1 << bits * (a + n))
-            r_lanes += (1 << bits * (2 * n - a)) - (1 << bits * (2 * n - b))
+            a_lanes += unit[b + n] - unit[a + n]
+            r_lanes += unit[2 * n - a] - unit[2 * n - b]
             mask ^= (1 << (a - 1)) | (1 << (b - 1))
             if cur_max < best_max or (
                 cur_max == best_max and _lex_less(mask, best_mask)

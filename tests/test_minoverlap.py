@@ -13,6 +13,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from corrlab import (
@@ -24,10 +25,13 @@ from corrlab import (
     exact_Mn,
     heuristic_Mn,
 )
+from corrlab import minoverlap
 from corrlab.minoverlap import (
     _lane_bits,
+    _lane_table,
     _lex_less,
     _max_lane,
+    _max_overlaps,
     _pack,
     _pack_splitting,
     _swap_packed,
@@ -152,10 +156,11 @@ class TestPackedSwap:
         bits = _lane_bits(n)
         ones = _pack([1] * w, bits)
         top = ones << bits - 1
+        lanes = _lane_table(n, bits)
         counts, a_lanes, r_lanes = _pack_splitting(s, bits)
         m = difference_histogram(s).max_value
         for a, b in swaps:
-            got = _swap_packed(counts, a_lanes, r_lanes, a, b, n, bits)
+            got = _swap_packed(counts, a_lanes, r_lanes, a, b, n, *lanes)
             want = difference_histogram(
                 Splitting(n, s.mask ^ (1 << (a - 1)) ^ (1 << (b - 1)))
             )
@@ -211,8 +216,70 @@ class TestPackedSwap:
 
 # -- exhaustive search --------------------------------------------------------
 
+#: ``n m witness.bits`` of ``exact_Mn(n)`` for even n 2–24 at the default cap
+#: and n = 26 at cap 26, recorded from the ``itertools.combinations`` search
+#: that the chunked numpy search replaced.
+PINNED_EXACT = """\
+2 1 10
+4 1 1001
+6 2 100011
+8 2 10001011
+10 3 1000010111
+12 3 100001101110
+14 3 11100000100111
+16 4 1000001100111101
+18 4 100001101111010001
+20 5 10000001110011111001
+22 5 1000001100111111100001
+24 5 101110110000000101001111
+26 6 10000000111100111111010100
+"""
+
+
+def _scores(splittings):
+    masks = np.array([s.mask for s in splittings], dtype=np.uint64)
+    return _max_overlaps(masks, splittings[0].n).tolist()
+
+
+class TestMaxOverlaps:
+    def test_every_splitting_at_n10(self):
+        splits = [
+            Splitting.from_a(10, (1, *rest))
+            for rest in itertools.combinations(range(2, 11), 4)
+        ]
+        assert len(splits) == 126
+        assert _scores(splits) == [difference_histogram(s).max_value for s in splits]
+
+    @pytest.mark.parametrize("n", [20, 64])  # 64: the widest uint64 mask
+    def test_sampled_splittings(self, n):
+        rng = random.Random(n)
+        splits = [
+            Splitting.from_a(n, (1, *rng.sample(range(2, n + 1), n // 2 - 1)))
+            for _ in range(200)
+        ]
+        assert _scores(splits) == [difference_histogram(s).max_value for s in splits]
+
 
 class TestExactMn:
+    @pytest.mark.parametrize(
+        "line", PINNED_EXACT.splitlines(), ids=lambda line: line.split()[0]
+    )
+    def test_pinned_optima(self, line):
+        n, m, bits = line.split()
+        r = exact_Mn(int(n), cap=max(int(n), 24))
+        assert (r.m, r.witness.bits) == (int(m), bits)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_any_chunk_length_finds_the_same_optimum(self, monkeypatch, chunk):
+        # Optima tie across chunk edges; the first one found must still win.
+        want = [(r.m, r.witness.bits) for r in map(exact_Mn, range(2, 15, 2))]
+        monkeypatch.setattr(minoverlap, "_CHUNK", chunk)
+        assert [(r.m, r.witness.bits) for r in map(exact_Mn, range(2, 15, 2))] == want
+
+    def test_refuses_n_past_a_uint64_mask_whatever_the_cap(self):
+        with pytest.raises(CapExceeded):
+            exact_Mn(66, cap=70)
+
     def test_n2(self):
         r = exact_Mn(2)
         assert r.m == 1

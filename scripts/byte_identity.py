@@ -77,6 +77,10 @@ INVOCATIONS = (
     # Integer kinds, exact, in the correlation sweep.
     ["report", "--config", "integer.cfg", "--grid", "1000,10000,100000",
      "--out-dir", "o"],
+    # One table per kind: φ twice under two names, Ω swept with no claim,
+    # and a sweep shift above every claim shift.
+    ["report", "--config", "plan.cfg", "--grid", "1000,10000,100000",
+     "--out-dir", "o"],
     # payload_mode accepts only auto: exit 1 with one usage line.
     ["report", "--config", "floating.cfg", "--grid", "1000,10000,100000",
      "--out-dir", "o"],
@@ -87,6 +91,8 @@ INVOCATIONS = (
     # The measured constants' refusals: a vanishing form, a zero correlation.
     ["constants", "--kind", "one", "--x", "1"],
     ["constants", "--kind", "liouville", "--x", "10", "--shift", "3"],
+    # A shift below 1 is refused before the sieve: exit 1 with one usage line.
+    ["constants", "--kind", "eulerphi", "--x", "20000000", "--shift", "0"],
     # Usage errors: a bad grid, a bad config value, a missing config file.
     ["claims", "--grid", "1000,100", "--out-dir", "o"],
     ["report", "--config", "bad.cfg", "--out-dir", "o"],
@@ -102,6 +108,8 @@ INPUTS = {
     "badkind.cfg": "kinds=vonmangoldt,bogus\n",
     "badclaim.cfg": "claims=thm3.1-twin,nosuch\n",
     "integer.cfg": "kinds=divisor,eulerphi\nshifts=1,2\n",
+    "plan.cfg": "kinds=phi,eulerphi,bigomega\nshifts=1,6\n"
+                "claims=thm3.1-twin,cor6.3-phi\n",
     "floating.cfg": "kinds=divisor,eulerphi\nshifts=1,2\npayload_mode=floating\n",
     "exact.cfg": "kinds=divisor,eulerphi\nshifts=1,2\npayload_mode=exact\n",
 }

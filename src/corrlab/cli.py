@@ -16,7 +16,7 @@ from . import __version__
 from . import constants as consts
 from . import minoverlap as mo
 from .config import ExperimentConfig
-from .correlation import type1_sweep, type2
+from .correlation import _check_shifts, type1_sweep, type2
 from .errors import ConfigError, CorrlabError
 from .identity import (
     DEFAULT_ORACLE_CAP,
@@ -181,6 +181,7 @@ def _cmd_correlate(args) -> int:
     shifts = _parse_int_list(args.shift) if args.shift else ()
     if not args.type2 and not shifts:
         raise ValueError("pass --shift L[,L2,...] or --type2")
+    _check_shifts(shifts)
     table = build_table(kind, args.x, max(shifts, default=0))
     results = [type2(table, args.x)] if args.type2 else []
     if shifts:
@@ -199,6 +200,7 @@ def _cmd_correlate(args) -> int:
 
 def _cmd_constants(args) -> int:
     kind = FunctionKind.parse(args.kind)
+    _check_shifts([args.shift])
     table = build_table(kind, args.x, args.shift)
     est = consts.density_estimate(table, args.x, args.shift)
     fields = {
@@ -224,14 +226,16 @@ def _claims_from_arg(text: str) -> list[str]:
     return [p.strip() for p in text.split(",") if p.strip()]
 
 
-def _claims_step(
-    cfg: ExperimentConfig, want_svg: bool, extra_tables=()
-) -> ReportBundle:
+def _claims_step(cfg: ExperimentConfig, want_svg: bool, sweep=False) -> ReportBundle:
     """Score the claims of a validated config, then write every artifact.
 
-    Nothing is written until every claim is scored: each extra table goes to
-    ``<name>.csv``, then come ``claims.csv``, ``report.json`` and the SVGs.
+    With ``sweep``, each configured kind's type-1 sweep over the shifts and
+    grid runs in the claims' per-kind task, on the same table, and goes to
+    ``correlations.csv``.  Nothing is written until every claim is scored;
+    then come that file, ``claims.csv``, ``report.json`` and the SVGs.
     """
+    # An unknown kind is refused before any table is built.
+    kinds = [FunctionKind.parse(label) for label in cfg.kinds] if sweep else []
     ids = list(cfg.claims) if cfg.claims else list(consts.ALL_CLAIMS)
     settings = consts.ClaimSettings(
         shift=cfg.shifts[0],
@@ -240,16 +244,18 @@ def _claims_step(
         c=cfg.c,
         slack=cfg.slack,
     )
-    claims = consts.evaluate_claims(ids, list(cfg.x_grid), settings)
+    claims, swept = consts._evaluate(ids, cfg.x_grid, settings, kinds, cfg.shifts)
     out = Path(cfg.out_dir)
-    for table in extra_tables:
-        write_csv(out / f"{table.name}.csv", table)
     rows = tuple(row for c in claims for row in c.rows())
-    claims_table = ResultTable("claims", CLAIM_HEADER, rows)
-    write_csv(out / "claims.csv", claims_table)
+    tables = [ResultTable("claims", CLAIM_HEADER, rows)]
+    if sweep:
+        corr_rows = tuple(map(_correlation_row, swept))
+        tables.insert(0, ResultTable("correlations", CORRELATION_HEADER, corr_rows))
+    for table in tables:
+        write_csv(out / f"{table.name}.csv", table)
     bundle = ReportBundle(
         meta=make_meta(__version__, cfg.digest()),
-        tables=tuple(extra_tables) + (claims_table,),
+        tables=tuple(tables),
         claims=tuple(claims),
     )
     write_json(out / "report.json", bundle)
@@ -342,18 +348,7 @@ def _cmd_report(args) -> int:
     except FileNotFoundError:
         raise ValueError(f"config file not found: {args.config}")
 
-    # Unknown kinds and claim ids are refused before the sweep sieves.
-    kinds = [FunctionKind.parse(label) for label in cfg.kinds]
-    consts.claim_specs(cfg.claims)
-    # Correlation sweep over the configured kinds, shifts, and grid.
-    corr_rows = []
-    max_x = max(cfg.x_grid)
-    for kind in kinds:
-        table = build_table(kind, max_x, max(cfg.shifts))
-        for x in cfg.x_grid:
-            corr_rows += map(_correlation_row, type1_sweep(table, x, list(cfg.shifts)))
-    corr_table = ResultTable("correlations", CORRELATION_HEADER, tuple(corr_rows))
-    bundle = _claims_step(cfg, not args.no_svg, extra_tables=(corr_table,))
+    bundle = _claims_step(cfg, not args.no_svg, sweep=True)
     out = Path(cfg.out_dir)
     print(f"config_digest={bundle.meta['config_digest']}")
     print(f"wrote {out / 'correlations.csv'}, {out / 'claims.csv'}, {out / 'report.json'}")

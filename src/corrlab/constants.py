@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Sequence
 
-from .correlation import type1, type2
+from .correlation import CorrelationResult, type1, type1_sweep, type2
 from .errors import DegenerateSum, UnknownClaim, ZeroCorrelation
 from .identity import bilinear_rhs
 from .tables import (
@@ -153,17 +153,8 @@ class ClaimReport:
 
     def rows(self) -> tuple[tuple, ...]:
         """Return (claim, x, computed, bound, constant, verdict) tuples."""
-        return tuple(
-            (
-                self.claim,
-                x,
-                self.computed[i],
-                self.bound[i],
-                self.constant[i],
-                self.verdicts[i],
-            )
-            for i, x in enumerate(self.grid)
-        )
+        columns = (self.computed, self.bound, self.constant, self.verdicts)
+        return tuple(zip(repeat(self.claim), self.grid, *columns))
 
 
 @dataclass(frozen=True)
@@ -368,10 +359,8 @@ def _score(
     constant: list[float | None] = []
     verdicts: list[str] = []
     for x in grid:
-        if spec.correlation == "type1":
-            value = type1(table, x, shift).value
-        else:
-            value = type2(table, x).value
+        r = type1(table, x, shift) if spec.correlation == "type1" else type2(table, x)
+        value = r.value
         computed.append(float(value))
 
         if (spec.even_x_only and x % 2 != 0) or (spec.uses_constant and value <= 0):
@@ -412,13 +401,18 @@ def _score_kind(
     specs: Sequence[_ClaimSpec],
     grid: tuple[int, ...],
     settings: ClaimSettings,
-) -> list[ClaimReport]:
-    """Score claims of one kind from one table, sieved at max(grid) with the
-    largest shift they read; they share one bilinear form per x."""
-    headroom = max(_shift(spec, settings) for spec in specs)
+    shifts: Sequence[int] = (),
+) -> tuple[list[ClaimReport], list[CorrelationResult]]:
+    """Score one kind's claims and sweep its type-1 sums at ``shifts``, from
+    one table sieved at max(grid) with the largest shift either reads.
+
+    The claims share one bilinear form per x; the sweep runs in grid, then
+    shift, order.  The table is dropped when the task returns."""
+    headroom = max((*(_shift(spec, settings) for spec in specs), *shifts))
     table = build_table(kind, max(grid), shift_headroom=headroom)
     form = functools.cache(functools.partial(bilinear_rhs, table))
-    return [_score(spec, table, form, grid, settings) for spec in specs]
+    reports = [_score(spec, table, form, grid, settings) for spec in specs]
+    return reports, [r for x in grid for r in type1_sweep(table, x, shifts)]
 
 
 def _cpu_count() -> int:
@@ -445,13 +439,26 @@ def evaluate_claims(
 ) -> list[ClaimReport]:
     """Evaluate several claims; order follows the input list.
 
-    Claims are grouped by function kind, and each kind is one
-    :func:`_score_kind` task: its table is sieved once and shared, with each
-    x's bilinear form, by all of the kind's claims.  A value at n does not
-    depend on the table's span, so every report equals
-    :func:`evaluate_claim` of that id alone.  The tasks run on one thread
-    each, up to the CPUs the process may use; outputs do not depend on the
-    number of threads.
+    Each function kind's table is sieved once and shared by its claims (see
+    :func:`_evaluate`), and every report equals :func:`evaluate_claim` of
+    that id alone, whatever the number of threads."""
+    return _evaluate(claim_ids, grid, settings)[0]
+
+
+def _evaluate(
+    claim_ids: Sequence[str],
+    grid: Sequence[int],
+    settings: ClaimSettings,
+    sweep_kinds: Sequence[FunctionKind] = (),
+    shifts: Sequence[int] = (),
+) -> tuple[list[ClaimReport], list[CorrelationResult]]:
+    """Score claims, and sweep each of ``sweep_kinds`` at ``shifts`` over the
+    grid, in one :func:`_score_kind` task per function kind, each on one
+    thread, up to the CPUs the process may use.  A value at n does not
+    depend on the table's span, so a kind's sweep and claims share one table.
+
+    Reports follow ``claim_ids``; the sweep follows ``sweep_kinds``
+    (duplicates kept), then the grid, then the shifts.
     """
     specs = claim_specs(claim_ids)
     grid = tuple(int(x) for x in grid)
@@ -462,17 +469,18 @@ def evaluate_claims(
     if grid[0] < 3:
         raise ValueError("x-grid entries must be >= 3")
 
-    by_kind: dict[FunctionKind, list[_ClaimSpec]] = {}
+    plan: dict[FunctionKind, list[_ClaimSpec]] = {}
     for spec in specs:
-        by_kind.setdefault(spec.kind_fn(settings), []).append(spec)
-    if not by_kind:
-        return []
-    # Imported here so that runs which score no claims never load it.
+        plan.setdefault(spec.kind_fn(settings), []).append(spec)
+    for kind in sweep_kinds:
+        plan.setdefault(kind, [])
+    # Imported here so that commands which score no claims never load it.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=min(len(by_kind), _cpu_count())) as pool:
-        scored = pool.map(
-            _score_kind, by_kind, by_kind.values(), repeat(grid), repeat(settings)
-        )
-        reports = {r.claim: r for kind_reports in scored for r in kind_reports}
-    return [reports[spec.claim_id] for spec in specs]
+    kind_shifts = (tuple(shifts) if kind in sweep_kinds else () for kind in plan)
+    tasks = (plan, plan.values(), repeat(grid), repeat(settings), kind_shifts)
+    with ThreadPoolExecutor(max_workers=max(1, min(len(plan), _cpu_count()))) as pool:
+        done = dict(zip(plan, pool.map(_score_kind, *tasks)))
+    reports = {r.claim: r for kind_reports, _ in done.values() for r in kind_reports}
+    sweep = [r for kind in sweep_kinds for r in done[kind][1]]
+    return [reports[spec.claim_id] for spec in specs], sweep

@@ -34,12 +34,15 @@ class CorrelationResult:
     middle_term: int | float | None = None
 
     @property
-    def is_type2(self) -> bool:
-        return self.shift is None
-
-    @property
     def shift_label(self) -> str:
         return "type2" if self.shift is None else str(self.shift)
+
+
+def _check_shifts(shifts: Sequence[int]) -> None:
+    """Refuse the first shift below 1; callers check before they sieve."""
+    for l in shifts:
+        if l < 1:
+            raise ValueError(f"shift must be >= 1, got {l}")
 
 
 def type1(table: FunctionTable, x: int, l: int) -> CorrelationResult:
@@ -84,9 +87,8 @@ def type1_sweep(
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
+    _check_shifts(shifts)
     for l in shifts:
-        if l < 1:
-            raise ValueError(f"shift must be >= 1, got {l}")
         if x + l > table.span:
             raise RangeError(
                 f"{table.kind.label}: shift {l} needs f up to {x + l}, but the "

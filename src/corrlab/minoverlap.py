@@ -109,11 +109,6 @@ class DifferenceHistogram:
     def max_value(self) -> int:
         return int(self.counts.max())
 
-    @property
-    def argmax(self) -> tuple[int, ...]:
-        m = self.counts.max()
-        return tuple(int(i) - self.n for i in np.nonzero(self.counts == m)[0])
-
 
 @dataclass(frozen=True)
 class BoundRow:

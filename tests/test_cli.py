@@ -10,9 +10,10 @@ import pytest
 
 from corrlab import cli, constants
 from corrlab.cli import main
+from corrlab.correlation import type1
 from corrlab.identity import IdentityCheckResult
 from corrlab.report import read_csv
-from corrlab.tables import build_table
+from corrlab.tables import FunctionKind, build_table
 
 
 def run(capsys, *argv):
@@ -136,6 +137,7 @@ class TestRefusesBeforeSieving:
             raise AssertionError("build_table ran")
 
         monkeypatch.setattr(cli, "build_table", refuse)
+        monkeypatch.setattr(constants, "build_table", refuse)
 
     @pytest.mark.parametrize(
         "flags, code, line",
@@ -152,6 +154,14 @@ class TestRefusesBeforeSieving:
     def test_identity_check(self, capsys, flags, code, line):
         got, out, err = run(capsys, "identity-check", "--kind", "eulerphi", *flags)
         assert (got, out, err) == (code, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("command", ["correlate", "constants"])
+    def test_shift(self, capsys, command):
+        got, out, err = run(
+            capsys, command, "--kind", "eulerphi", "--x", "20000000", "--shift", "0"
+        )
+        line = "error: code=USAGE shift must be >= 1, got 0\n"
+        assert (got, out, err) == (1, "", line)
 
     @pytest.mark.parametrize(
         "text, code, prefix",
@@ -383,6 +393,58 @@ class TestClaims:
         claims = read_csv(tmp_path / "claims.csv")
         assert [row[5] for row in claims.rows] == ["vacuous", "vacuous"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["claims.csv", "report.json"]
+
+
+class TestReportPlan:
+    """`report` sieves each kind once, for its claims and its sweep alike."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+
+        def recording(kind, limit, shift_headroom=0, **kwargs):
+            calls.append((kind.label, limit, shift_headroom))
+            return build_table(kind, limit, shift_headroom, **kwargs)
+
+        # Either module may build; the plan is in how many builds there are.
+        monkeypatch.setattr(cli, "build_table", recording)
+        monkeypatch.setattr(constants, "build_table", recording)
+        return calls
+
+    def test_default_config_builds_seven_tables(self, capsys, tmp_path, builds):
+        argv = ["report", "--grid", "100,1000", "--out-dir", str(tmp_path), "--no-svg"]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(builds) == len({label for label, _, _ in builds}) == 7
+        lam = [b for b in builds if b[0] == "vonmangoldt"]
+        assert lam == [("vonmangoldt", 1000, 2)]
+
+    def test_sweep_only_kind_and_alias(self, capsys, tmp_path, builds):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "x_grid = 100,1000\nkinds = phi,eulerphi,bigomega\nshifts = 1,6\n"
+            "claims = thm3.1-twin,cor6.3-phi\n"
+        )
+        out = tmp_path / "out"
+        code, _, _ = run(
+            capsys, "report", "--config", str(cfg), "--out-dir", str(out), "--no-svg"
+        )
+        assert code == 0
+        assert sorted(builds) == [
+            ("bigomega", 1000, 6), ("eulerphi", 1000, 6), ("vonmangoldt", 1000, 2)
+        ]
+        rows = read_csv(out / "correlations.csv").rows
+        assert [r[:3] for r in rows] == [
+            (label, x, l)
+            for label in ("eulerphi", "eulerphi", "bigomega")
+            for x in (100, 1000)
+            for l in (1, 6)
+        ]
+        assert rows[:4] == rows[4:8]
+        for label, x, l, value, terms in rows:
+            table = build_table(FunctionKind.parse(label), x, l)
+            r = type1(table, x, l)
+            assert (value, terms) == (r.value, r.terms)
 
 
 class TestMinoverlap:

@@ -305,9 +305,9 @@ class TestRunPlan:
         calls = []
         real = constants._score_kind
 
-        def recording(kind, specs, grid, settings):
+        def recording(kind, specs, *args):
             calls.append((kind, tuple(spec.claim_id for spec in specs)))
-            return real(kind, specs, grid, settings)
+            return real(kind, specs, *args)
 
         monkeypatch.setattr(constants, "_score_kind", recording)
         grid = (100, 999, 3000)

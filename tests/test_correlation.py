@@ -33,7 +33,7 @@ class TestType1:
         r = type1(t, 8, 1)
         assert r.value == 4
         assert r.terms == 4
-        assert r.shift == 1 and not r.is_type2
+        assert r.shift == 1
 
     def test_von_mangoldt_twin_shift(self):
         t = build_table(VON_MANGOLDT, 20, 2)
@@ -84,7 +84,6 @@ class TestType2:
         lg = math.log
         assert r.value == pytest.approx(lg(2) ** 2 + lg(3) * lg(7), rel=1e-13)
         assert r.middle_term == pytest.approx(lg(5) ** 2, rel=1e-13)
-        assert r.is_type2
         assert r.shift is None
         assert r.shift_label == "type2"
 

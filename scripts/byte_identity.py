@@ -71,6 +71,8 @@ INVOCATIONS = (
     ["minoverlap", "--n", "200", "--heuristic", "--seed", "3", "--out", "mo.csv"],
     ["minoverlap", "--n", "200", "--heuristic", "--seed", "9", "--out", "mo.csv"],
     ["minoverlap", "--n", "2", "--heuristic"],
+    # n = 4 draws every move's first index from a width of 1.
+    ["minoverlap", "--n", "4", "--heuristic", "--seed", "1"],
     # Caps below any input: exit 1 with one usage line.
     ["identity-check", "--kind", "divisor", "--x", "10", "--oracle-cap", "-1"],
     ["minoverlap", "--n", "4", "--exact", "--cap", "-1"],

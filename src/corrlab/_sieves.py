@@ -32,10 +32,10 @@ import numpy as np
 _WINDOW = 1 << 18
 
 # rule(p, e) and how rules combine, for the kinds the factor pass builds.
-# Every rule must also accept an array of primes at e = 1; at e = 1, φ's
-# rule skips the p ** 0 temporary.
+# Every rule(p, 1) must be affine in p, as the pass forms the leftover
+# prime's rule(P, 1) in place from rule(2, 1) and rule(3, 1).
 _RULES = {
-    "eulerphi": (lambda p, e: (p - 1) * p ** (e - 1) if e > 1 else p - 1, np.multiply),
+    "eulerphi": (lambda p, e: (p - 1) * p ** (e - 1), np.multiply),
     "liouville": (lambda p, e: (-1) ** e, np.multiply),
     "bigomega": (lambda p, e: e, np.add),
 }
@@ -81,7 +81,9 @@ def _factor_filler(span: int, primes: list[int], rule, combine):
     """The factor pass's filler: ``combine`` is ``np.multiply`` for
     multiplicative functions and ``np.add`` for additive ones.  The lookup
     rule(p, 0..top) of each prime p <= √span, where p^top <= span < p^(top+1),
-    is built once.
+    is built once, and so are the buffers every window reuses, so no window
+    hands its temporaries back to the OS and faults them in again.  They
+    belong to this sieve call, so sieves on other threads never share them.
     """
     lookups = []
     for p in primes:
@@ -89,10 +91,23 @@ def _factor_filler(span: int, primes: list[int], rule, combine):
         while q <= span:
             top, q = top + 1, q * p
         lookups.append((p, np.array([rule(p, k) for k in range(top + 1)], np.int64)))
-    return partial(_fold_window, lookups=lookups, rule=rule, combine=combine)
+    size = min(span, _WINDOW)
+    # smooth divides n, so it fits int32 wherever n does.
+    small = np.int32 if span < 2**31 else np.int64
+    buffers = (
+        np.arange(1, size + 1, dtype=small),  # ramp: n − lo
+        np.empty(size, dtype=small),  # smooth, then n // smooth
+        np.empty(size, dtype=small),  # vals, then n, then the tail's values
+        np.empty(size, dtype=bool),  # n // smooth > 1
+    )
+    slope = rule(3, 1) - rule(2, 1)
+    tail = slope, rule(2, 1) - 2 * slope
+    return partial(
+        _fold_window, lookups=lookups, tail=tail, combine=combine, buffers=buffers
+    )
 
 
-def _fold_window(win: np.ndarray, lo: int, lookups, rule, combine) -> None:
+def _fold_window(win: np.ndarray, lo: int, lookups, tail, combine, buffers) -> None:
     """Write the factor pass's values for n = lo + 1 .. lo + win.size to win.
 
     For each prime p, ``vals`` starts at rule(p, 1) on the window's
@@ -101,16 +116,18 @@ def _fold_window(win: np.ndarray, lo: int, lookups, rule, combine) -> None:
     exponent e of p in each multiple; it is folded into win, and p^e is
     multiplied into ``smooth`` instead of divided out of n.  Then
     n // smooth, one division per n, is 1 or the single prime P > √span
-    that divides n, which contributes rule(P, 1).
+    that divides n, which contributes rule(P, 1) = slope·P + offset, with
+    ``tail`` = (slope, offset).  Every array but win is a view of
+    :func:`_factor_filler`'s ``buffers``.
     """
     size = win.size
-    # smooth divides n, so it fits int32 wherever n does.
-    small = np.int32 if lo + size < 2**31 else np.int64
+    ramp, smooth, scratch, big = (b[:size] for b in buffers)
     win.fill(combine.identity)
-    smooth = np.ones(size, dtype=small)
+    smooth.fill(1)
     for p, lookup in lookups:
         first = -(lo + 1) % p  # index of the window's first multiple of p
-        vals = np.full(len(range(first, size, p)), lookup[1])
+        vals = scratch[: len(range(first, size, p))]
+        vals.fill(lookup[1])
         smooth[first::p] *= p
         q, k = p * p, 2
         while (at := -(lo + 1) % q) < size:  # the window holds a multiple of q
@@ -119,13 +136,15 @@ def _fold_window(win: np.ndarray, lo: int, lookups, rule, combine) -> None:
             q, k = q * p, k + 1
         seg = win[first::p]
         combine(seg, vals, out=seg)
-    rest = np.floor_divide(
-        np.arange(lo + 1, lo + size + 1, dtype=small), smooth, out=smooth
-    )
+    rest = np.floor_divide(np.add(ramp, lo, out=scratch), smooth, out=smooth)
     # rule(rest, 1) where rest > 1 and the identity elsewhere, in arithmetic:
     # a ufunc masked by rest > 1 branches unpredictably and is 5x slower.
-    ident = combine.identity
-    combine(win, (rest > 1) * (rule(rest, 1) - ident) + ident, out=win)
+    slope, offset = tail
+    vals = np.multiply(rest, slope, out=scratch)
+    vals += offset - combine.identity
+    vals *= np.greater(rest, 1, out=big)
+    vals += combine.identity
+    combine(win, vals, out=win)
 
 
 def _squarefree_window(squares: list[int], win: np.ndarray, lo: int) -> None:
@@ -166,9 +185,12 @@ def _prime_power_filler(span: int, primes: list[int]):
 
 def _semiprime_window(omega, win: np.ndarray, lo: int) -> None:
     """Υ: log n where Ω(n) = 2, zero elsewhere.  The window of Ω is folded
-    into win's own bytes, viewed as int64, before the logs replace it."""
+    into win's own bytes, viewed as int64, before the logs replace it; the
+    ramp n − lo and the flag array are the Ω pass's buffers."""
     big_omega = win.view(np.int64)
     omega(big_omega, lo)
-    at = np.flatnonzero(big_omega == 2)
-    win.fill(0.0)
-    win[at] = np.log(at + (lo + 1.0))
+    ramp, _, _, semi = (b[: win.size] for b in omega.keywords["buffers"])
+    np.equal(big_omega, 2, out=semi)
+    logs = np.add(ramp, lo, out=win, dtype=np.float64)
+    np.log(logs, out=logs)
+    logs *= semi

@@ -291,10 +291,22 @@ def _lane_bits(n: int) -> int:
     return (n // 2 + 4).bit_length() + 1
 
 
-def _lane_table(n: int, bits: int) -> tuple[list[int], list[int]]:
-    """Lane x's shift ``bits*x`` and its unit ``1 << bits*x``, x in 0..2n."""
+def _lane_table(n: int, bits: int) -> tuple[list[int], list[int], list[int]]:
+    """Lane x's shift ``bits*x`` and its unit ``1 << bits*x``, x in 0..2n,
+    and pair[d] = unit[n+d] + unit[n−d] − 2·unit[n], d in 0..n: the +1 at
+    k = ±d and −2 at k = 0 that every swap at distance d adds."""
     shift = [bits * x for x in range(2 * n + 1)]
-    return shift, [1 << s for s in shift]
+    unit = [1 << s for s in shift]
+    return shift, unit, [unit[n + d] + unit[n - d] - 2 * unit[n] for d in range(n + 1)]
+
+
+def _thresholds(n: int, bits: int) -> tuple[int, int, list[int]]:
+    """:func:`_max_lane`'s constants: ``ones`` with a 1 in each lane 0..2n,
+    ``top`` with each lane's top bit, and below[m] = top − (m + 1)·ones for
+    every max m in 0..n/2."""
+    ones = _pack([1] * (2 * n + 1), bits)
+    top = ones << bits - 1
+    return ones, top, [top - (m + 1) * ones for m in range(n // 2 + 1)]
 
 
 def _pack(values, bits: int) -> int:
@@ -321,41 +333,41 @@ def _pack_splitting(s: Splitting, bits: int) -> tuple[int, int, int]:
 
 def _swap_packed(
     counts: int, a_lanes: int, r_lanes: int, a: int, b: int, n: int,
-    shift: list[int], unit: list[int],
+    shift: list[int], pair: list[int],
 ) -> int:
     """Packed difference counts after swapping a (in A) with b (in B).
 
     The swap moves M_k by α[a+k] − α[b+k] + β[b−k] − β[a−k], plus +1 at
     k = a−b and at k = b−a and −2 at k = 0, where α and β are A's and B's
     0/1 indicators.  Each indicator term is one shift of the packed A (or
-    reversed B) that puts it at lane k + n.  Every term lands inside lanes
-    0..2n and every final lane is a count in [0, n/2], so the sum is exact
-    lane by lane: no lane carries into or borrows from its neighbour.
-    ``shift`` and ``unit`` are :func:`_lane_table`'s.
+    reversed B) that puts it at lane k + n, and the constant terms are one
+    precomputed int, pair[|a − b|].  Every term lands inside lanes 0..2n and
+    every final lane is a count in [0, n/2], so the sum is exact lane by
+    lane: no lane carries into or borrows from its neighbour.  ``shift`` and
+    ``pair`` are :func:`_lane_table`'s.
     """
     return (
         counts
         + (a_lanes >> shift[a])
         + (r_lanes >> shift[n - b])
-        + unit[a - b + n]
-        + unit[b - a + n]
+        + pair[abs(a - b)]
         - (a_lanes >> shift[b])
         - (r_lanes >> shift[n - a])
-        - (unit[n] << 1)
     )
 
 
-def _max_lane(packed: int, guess: int, ones: int, top: int) -> int:
-    """The largest lane of ``packed``, stepping from ``guess`` >= 0.
+def _max_lane(packed: int, guess: int, ones: int, top: int, below: list[int]) -> int:
+    """The largest lane of ``packed``, stepping from ``guess`` in 0..n/2.
 
-    ``ones`` has a 1 in every lane and ``top`` each lane's top bit.  Adding
-    top − (m + 1)·ones puts 2^(bits−1) − 1 − m in every lane, which sets a
-    lane's top bit exactly when the lane exceeds m, so one add and one and
-    test every lane at once; a move shifts the max by a few, so few tests
-    run.
+    ``ones`` has a 1 in every lane and ``top`` each lane's top bit, and
+    below[m] = top − (m + 1)·ones (:func:`_thresholds`).  Adding below[m]
+    puts 2^(bits−1) − 1 − m in every lane, which sets a lane's top bit
+    exactly when the lane exceeds m, so one add and one and test every lane
+    at once; each further step adds or subtracts ``ones``.  A move shifts
+    the max by a few, so few tests run.
     """
     m = guess
-    probe = packed + top - (m + 1) * ones
+    probe = packed + below[m]
     if probe & top:
         # Step up while some lane exceeds m.  Lanes of true counts stop this
         # by n/2; a negative probe means some lane borrowed, which only a
@@ -372,6 +384,27 @@ def _max_lane(packed: int, guess: int, ones: int, top: int) -> int:
     return 0
 
 
+def _proposer(rng: random.Random, half: int):
+    """Each call returns ``(rng.randrange(1, half), rng.randrange(half))``,
+    an index into A's list past the pinned element 1 and one into B's, bit
+    for bit: ``randrange``'s own loop draws k-bit ints from ``getrandbits``
+    until one falls below the width, k being the width's bit length, and
+    here the k's are computed once."""
+    getrandbits = rng.getrandbits
+    wi, ki, kj = half - 1, (half - 1).bit_length(), half.bit_length()
+
+    def propose() -> tuple[int, int]:
+        i = getrandbits(ki)
+        while i >= wi:
+            i = getrandbits(ki)
+        j = getrandbits(kj)
+        while j >= half:
+            j = getrandbits(kj)
+        return i + 1, j
+
+    return propose
+
+
 def heuristic_Mn(
     n: int, budget: int = DEFAULT_BUDGET, seed: int = 0
 ) -> OverlapResult:
@@ -381,9 +414,10 @@ def heuristic_Mn(
     cross-correlation Σ_x α[x]·β[x−k] of A's and B's 0/1 indicators, so a
     swap changes it by four shifted indicators.  The counts and indicators
     live in lanes of three Python ints, so a move is scored with a few
-    whole-int shifts and adds read from a lane table built once per run
-    (:func:`_swap_packed`) and its max found by stepping a lane-parallel
-    threshold test from the current max (:func:`_max_lane`); per move this
+    whole-int shifts and adds (:func:`_swap_packed`) and its max found by
+    stepping a lane-parallel threshold test from the current max
+    (:func:`_max_lane`), both reading tables built once per run; moves are
+    drawn as ``randrange`` draws them (:func:`_proposer`).  Per move this
     costs O(n) bit operations but no per-call numpy overhead, which wins at
     the sizes this module runs (n up to about 500) and loses above them.
     Cooling is geometric from a temperature chosen so roughly half the
@@ -407,31 +441,25 @@ def heuristic_Mn(
     b_list = [v for v in range(1, n + 1) if v not in a_set]
     start = Splitting.from_a(n, a_list)
     bits = _lane_bits(n)
-    shift, unit = _lane_table(n, bits)
-    ones = sum(unit)
-    top = ones << bits - 1
+    shift, unit, pair = _lane_table(n, bits)
+    ones, top, below = _thresholds(n, bits)
     counts, a_lanes, r_lanes = _pack_splitting(start, bits)
-    cur_max = _max_lane(counts, 0, ones, top)
+    cur_max = _max_lane(counts, 0, ones, top, below)
 
     mask = start.mask
     best_max = cur_max
     best_mask = mask
 
-    randrange, random_, exp = rng.randrange, rng.random, math.exp
-
-    def propose():
-        i = randrange(1, half)  # never moves the pinned element 1
-        j = randrange(half)
-        return i, j
+    propose, random_, exp = _proposer(rng, half), rng.random, math.exp
 
     # Warmup: size the starting temperature from observed uphill deltas.
     uphill: list[int] = []
     for _ in range(min(100, steps)):
         i, j = propose()
         cand = _swap_packed(
-            counts, a_lanes, r_lanes, a_list[i], b_list[j], n, shift, unit
+            counts, a_lanes, r_lanes, a_list[i], b_list[j], n, shift, pair
         )
-        m_new = _max_lane(cand, cur_max, ones, top)
+        m_new = _max_lane(cand, cur_max, ones, top, below)
         if m_new > cur_max:
             uphill.append(m_new - cur_max)
     if uphill:
@@ -446,8 +474,8 @@ def heuristic_Mn(
         i, j = propose()
         a = a_list[i]
         b = b_list[j]
-        cand = _swap_packed(counts, a_lanes, r_lanes, a, b, n, shift, unit)
-        m_new = _max_lane(cand, cur_max, ones, top)
+        cand = _swap_packed(counts, a_lanes, r_lanes, a, b, n, shift, pair)
+        m_new = _max_lane(cand, cur_max, ones, top, below)
         delta = m_new - cur_max
         if delta <= 0 or random_() < exp(-delta / (t0 * decay ** (step / last))):
             counts = cand

@@ -34,7 +34,9 @@ from corrlab.minoverlap import (
     _max_overlaps,
     _pack,
     _pack_splitting,
+    _proposer,
     _swap_packed,
+    _thresholds,
 )
 
 
@@ -154,20 +156,19 @@ class TestPackedSwap:
         # stepping agrees from below, at and above the current max.
         n, w = s.n, 2 * s.n + 1
         bits = _lane_bits(n)
-        ones = _pack([1] * w, bits)
-        top = ones << bits - 1
-        lanes = _lane_table(n, bits)
+        ones, top, below = _thresholds(n, bits)
+        shift, _, pair = _lane_table(n, bits)
         counts, a_lanes, r_lanes = _pack_splitting(s, bits)
         m = difference_histogram(s).max_value
         for a, b in swaps:
-            got = _swap_packed(counts, a_lanes, r_lanes, a, b, n, *lanes)
+            got = _swap_packed(counts, a_lanes, r_lanes, a, b, n, shift, pair)
             want = difference_histogram(
                 Splitting(n, s.mask ^ (1 << (a - 1)) ^ (1 << (b - 1)))
             )
             assert got >> bits * w == 0, (s.bits, a, b)
             assert _unpack(got, w, bits) == want.counts.tolist(), (s.bits, a, b)
             for guess in (0, m, n // 2):
-                assert _max_lane(got, guess, ones, top) == want.max_value, (
+                assert _max_lane(got, guess, ones, top, below) == want.max_value, (
                     s.bits, a, b, guess,
                 )
 
@@ -194,6 +195,26 @@ class TestPackedSwap:
         ]
         for s in splittings + _fullest(n):
             self.check_swaps(s, itertools.product(s.a_elements, s.b_elements))
+
+    @pytest.mark.parametrize("n", [2, 4, 10, 118, 120, 200])
+    def test_tables_decode(self, n):
+        # pair[d] is +1 at lanes n ± d and −2 at lane n (decoded with 2 added
+        # to every lane, so none is negative), and below[m] holds the largest
+        # value under the top bit, less m, in every lane 0..2n.
+        w, bits = 2 * n + 1, _lane_bits(n)
+        ones, top, below = _thresholds(n, bits)
+        _, _, pair = _lane_table(n, bits)
+        assert ones == _pack([1] * w, bits) and top == ones << bits - 1
+        for d in range(1, n + 1):
+            want = [0] * w
+            want[n - d] += 1
+            want[n + d] += 1
+            want[n] -= 2
+            assert [v - 2 for v in _unpack(pair[d] + 2 * ones, w, bits)] == want, d
+        assert len(pair) == n + 1 and len(below) == n // 2 + 1
+        for m, threshold in enumerate(below):
+            want = [(1 << bits - 1) - 1 - m] * w + [0]
+            assert _unpack(threshold, w + 1, bits) == want, m
 
     def test_lane_width_steps_between_118_and_120(self):
         assert (_lane_bits(118), _lane_bits(120)) == (7, 8)
@@ -384,6 +405,18 @@ class TestHeuristicMn:
         assert r.budget == 5000
         assert r.seed == 9
 
+    def test_moves_draw_randranges_stream(self):
+        # Half h draws widths h − 1 and h, so every width 1..130 is drawn,
+        # powers of two and n = 4's width 1 among them; 10⁴ draws per
+        # generator, then their states must match too.
+        for half in range(2, 132):
+            new, old = random.Random(half), random.Random(half)
+            propose, randrange = _proposer(new, half), old.randrange
+            got = [propose() for _ in range(5000)]
+            want = [(randrange(1, half), randrange(half)) for _ in range(5000)]
+            assert got == want, half
+            assert new.getstate() == old.getstate(), half
+
     def test_never_beats_exact(self):
         # The heuristic reports an achieved value, so it upper-bounds M(n).
         for n in (6, 8, 10, 12):
@@ -551,6 +584,22 @@ PINNED_N200_SEED0 = (
     "11110110"
 )
 
+#: ``seed m witness.mask`` (hex) of ``heuristic_Mn(200, budget=20000, seed)``
+#: for the benchmark's seeds 0–9, recorded from the kernel that drew its
+#: moves with ``rng.randrange``.
+PINNED_N200_BUDGET_20K = """\
+0 42 7fffe7ed6d14f826004aa10200056330802a65e937badffbf9
+1 42 bfb3ff7f6469b1a5c1642234000111c00b0a82dca79efff7e3
+2 42 20006441433165f5afbefbfaffff975bebba8be15603800001
+3 42 dedfd7ecafd668c681cb42101010121002aa02dffbdc67efed
+4 42 7db7ffb6f6ab443422200c0054185180c13c526cef7f3f7e3d
+5 42 bffaeb69fd1bfa90068116029981000280864e747f5bedf7ed
+6 42 0404e103083630dbf5ffde9ffedfff967dbb2703283a102001
+7 42 80902422114d13fe7cf9ed5beeffed7f4f79fe1680d1000c01
+8 42 defff7877b3e4a2a4304002817040072201ba0bcd5dcfffebd
+9 42 fdffcee567cee00ce8812d10080410004c73b4879f2edfd7fb
+"""
+
 
 class TestPinnedResults:
     def test_matrix(self):
@@ -563,6 +612,12 @@ class TestPinnedResults:
 
     def test_n200_seed0(self):
         assert heuristic_Mn(200, seed=0).witness.bits == PINNED_N200_SEED0
+
+    def test_n200_bench_seeds(self):
+        for line in PINNED_N200_BUDGET_20K.splitlines():
+            seed, m, mask = line.split()
+            r = heuristic_Mn(200, budget=20000, seed=int(seed))
+            assert (r.m, r.witness.mask) == (int(m), int(mask, 16)), f"seed={seed}"
 
 
 # -- bounds table -------------------------------------------------------------

@@ -52,6 +52,9 @@ INVOCATIONS = (
      "--out", "table.csv"],
     ["sieve", "--kind", "one", "--limit", "600000", "--headroom", "64",
      "--out", "table.csv"],
+    # d_17(2^19) = C(35, 16) passes 2^31 in a span that fits int32.
+    ["sieve", "--kind", "divisor17", "--limit", "524288", "--headroom", "1",
+     "--out", "table.csv"],
     # The payload follows the kind: no --mode flag, exit 1 with one usage line.
     ["sieve", "--kind", "divisor", "--limit", "2000", "--headroom", "2",
      "--mode", "floating", "--out", "table.csv"],

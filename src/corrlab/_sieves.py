@@ -33,7 +33,8 @@ _WINDOW = 1 << 18
 
 # rule(p, e) and how rules combine, for the kinds the factor pass builds.
 # Every rule(p, 1) must be affine in p, as the pass forms the leftover
-# prime's rule(P, 1) in place from rule(2, 1) and rule(3, 1).
+# prime's rule(P, 1) in place from rule(2, 1) and rule(3, 1);
+# :func:`_factor_filler` refuses a rule that is not.
 _RULES = {
     "eulerphi": (lambda p, e: (p - 1) * p ** (e - 1), np.multiply),
     "liouville": (lambda p, e: (-1) ** e, np.multiply),
@@ -56,34 +57,38 @@ def sieve(name: str, order: int, span: int) -> np.ndarray:
     ``order`` is the divisor tower's height): int64, or float64 for Λ and Υ.
     """
     primes = primes_upto(math.isqrt(span)).tolist()
-    dtype = np.int64
+    # Made before any filler's window buffers.  Made after them, the output
+    # kept them resident once freed (glibc's heap layout): `corrlab claims`
+    # peaked about 6.5 MiB higher per thread.
+    real = name in ("vonmangoldt", "masterupsilon")
+    out = np.empty(span, dtype=np.float64 if real else np.int64)
     if name == "divisor":
         rule = lambda p, e: math.comb(e + order - 1, order - 1)
-        fill = _factor_filler(span, primes, rule, np.multiply)
+        fill, _ = _factor_filler(span, primes, rule, np.multiply)
     elif name in _RULES:
-        fill = _factor_filler(span, primes, *_RULES[name])
+        fill, _ = _factor_filler(span, primes, *_RULES[name])
     elif name == "one":
         fill = lambda win, lo: win.fill(1)
     elif name == "musquared":
         fill = partial(_squarefree_window, [p * p for p in primes])
     elif name == "vonmangoldt":
-        dtype, fill = np.float64, _prime_power_filler(span, primes)
+        fill = _prime_power_filler(span, primes)
     elif name == "masterupsilon":
-        omega = _factor_filler(span, primes, *_RULES["bigomega"])
-        dtype, fill = np.float64, partial(_semiprime_window, omega)
-    out = np.empty(span, dtype=dtype)
+        omega, buffers = _factor_filler(span, primes, *_RULES["bigomega"])
+        fill = partial(_semiprime_window, omega, buffers)
     for lo in range(0, span, _WINDOW):
         fill(out[lo : lo + _WINDOW], lo)
     return out
 
 
 def _factor_filler(span: int, primes: list[int], rule, combine):
-    """The factor pass's filler: ``combine`` is ``np.multiply`` for
-    multiplicative functions and ``np.add`` for additive ones.  The lookup
-    rule(p, 0..top) of each prime p <= √span, where p^top <= span < p^(top+1),
-    is built once, and so are the buffers every window reuses, so no window
-    hands its temporaries back to the OS and faults them in again.  They
-    belong to this sieve call, so sieves on other threads never share them.
+    """The factor pass's filler and the buffers it reuses in every window:
+    ``combine`` is ``np.multiply`` for multiplicative functions and
+    ``np.add`` for additive ones.  The lookup rule(p, 0..top) of each prime
+    p <= √span, where p^top <= span < p^(top+1), is built once, and so are
+    the buffers, so no window hands its temporaries back to the OS and
+    faults them in again.  They belong to this sieve call, so sieves on
+    other threads never share them.
     """
     lookups = []
     for p in primes:
@@ -91,20 +96,34 @@ def _factor_filler(span: int, primes: list[int], rule, combine):
         while q <= span:
             top, q = top + 1, q * p
         lookups.append((p, np.array([rule(p, k) for k in range(top + 1)], np.int64)))
+    slope = rule(3, 1) - rule(2, 1)
+    offset = rule(2, 1) - 2 * slope
+    if rule(5, 1) != 5 * slope + offset:
+        raise ValueError("the factor pass needs rule(p, 1) affine in p")
     size = min(span, _WINDOW)
-    # smooth divides n, so it fits int32 wherever n does.
+    # smooth divides n, so it fits int32 wherever n does; vals also holds
+    # every rule(p, e) and rule(P, 1), which for d_l pass 2³¹ at spans
+    # near 2¹⁹ (d_17(2¹⁹) = C(35, 16)).
+    reach = max(
+        [span + 1, abs(slope) * span + abs(offset) + 1]
+        + [int(np.abs(lookup).max()) for _, lookup in lookups]
+    )
     small = np.int32 if span < 2**31 else np.int64
+    wide = np.int32 if reach < 2**31 else np.int64
     buffers = (
         np.arange(1, size + 1, dtype=small),  # ramp: n − lo
         np.empty(size, dtype=small),  # smooth, then n // smooth
-        np.empty(size, dtype=small),  # vals, then n, then the tail's values
+        np.empty(size, dtype=wide),  # vals, then n, then the tail's values
         np.empty(size, dtype=bool),  # n // smooth > 1
     )
-    slope = rule(3, 1) - rule(2, 1)
-    tail = slope, rule(2, 1) - 2 * slope
-    return partial(
-        _fold_window, lookups=lookups, tail=tail, combine=combine, buffers=buffers
+    fill = partial(
+        _fold_window,
+        lookups=lookups,
+        tail=(slope, offset),
+        combine=combine,
+        buffers=buffers,
     )
+    return fill, buffers
 
 
 def _fold_window(win: np.ndarray, lo: int, lookups, tail, combine, buffers) -> None:
@@ -183,13 +202,13 @@ def _prime_power_filler(span: int, primes: list[int]):
     return fill
 
 
-def _semiprime_window(omega, win: np.ndarray, lo: int) -> None:
+def _semiprime_window(omega, buffers, win: np.ndarray, lo: int) -> None:
     """Υ: log n where Ω(n) = 2, zero elsewhere.  The window of Ω is folded
     into win's own bytes, viewed as int64, before the logs replace it; the
-    ramp n − lo and the flag array are the Ω pass's buffers."""
+    ramp n − lo and the flag array are ``buffers``, the Ω pass's own."""
     big_omega = win.view(np.int64)
     omega(big_omega, lo)
-    ramp, _, _, semi = (b[: win.size] for b in omega.keywords["buffers"])
+    ramp, _, _, semi = (b[: win.size] for b in buffers)
     np.equal(big_omega, 2, out=semi)
     logs = np.add(ramp, lo, out=win, dtype=np.float64)
     np.log(logs, out=logs)

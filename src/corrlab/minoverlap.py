@@ -140,12 +140,13 @@ class OverlapResult:
 
 
 def difference_histogram(s: Splitting) -> DifferenceHistogram:
-    """Count every difference a − b over A × B (total mass (n/2)²)."""
-    a = np.array(s.a_elements, dtype=np.int64)
-    b = np.array(s.b_elements, dtype=np.int64)
-    diffs = (a[:, None] - b[None, :]).ravel()
-    counts = np.bincount(diffs + s.n, minlength=2 * s.n + 1)
-    return DifferenceHistogram(n=s.n, counts=counts.astype(np.int64))
+    """Count every difference a − b over A × B (total mass (n/2)²): the
+    cross-correlation of A's and B's indicators over 0..n, in O(n) memory."""
+    alpha = np.zeros(s.n + 1, dtype=np.int64)
+    beta = np.zeros(s.n + 1, dtype=np.int64)
+    alpha[list(s.a_elements)] = 1
+    beta[list(s.b_elements)] = 1
+    return DifferenceHistogram(n=s.n, counts=np.correlate(alpha, beta, "full"))
 
 
 def _lex_less(a: int, b: int) -> bool:
@@ -291,22 +292,31 @@ def _lane_bits(n: int) -> int:
     return (n // 2 + 4).bit_length() + 1
 
 
-def _lane_table(n: int, bits: int) -> tuple[list[int], list[int], list[int]]:
-    """Lane x's shift ``bits*x`` and its unit ``1 << bits*x``, x in 0..2n,
-    and pair[d] = unit[n+d] + unit[n−d] − 2·unit[n], d in 0..n: the +1 at
-    k = ±d and −2 at k = 0 that every swap at distance d adds."""
+def _lane_table(n: int, bits: int) -> tuple[list[int], list[int]]:
+    """Lane x's shift ``bits*x``, x in 0..2n, and pair[d] = 2^(bits·(n+d))
+    + 2^(bits·(n−d)) − 2·2^(bits·n), d in 0..n: the +1 at k = ±d and −2 at
+    k = 0 that every swap at distance d adds.
+
+    pair[d] spans n + d lanes, so the table holds about 1.5·bits·n² bits,
+    about 8 MB at n = 2000 and 260 MB at n = 10⁴: the one per-run table
+    that grows faster than n.
+    """
     shift = [bits * x for x in range(2 * n + 1)]
-    unit = [1 << s for s in shift]
-    return shift, unit, [unit[n + d] + unit[n - d] - 2 * unit[n] for d in range(n + 1)]
+    centre = 2 << shift[n]
+    pair = [(1 << shift[n + d]) + (1 << shift[n - d]) - centre for d in range(n + 1)]
+    return shift, pair
 
 
-def _thresholds(n: int, bits: int) -> tuple[int, int, list[int]]:
-    """:func:`_max_lane`'s constants: ``ones`` with a 1 in each lane 0..2n,
-    ``top`` with each lane's top bit, and below[m] = top − (m + 1)·ones for
-    every max m in 0..n/2."""
+def _thresholds(n: int, bits: int) -> tuple[int, int]:
+    """:func:`_max_lane`'s constants: ``ones`` with a 1 in each lane 0..2n
+    and ``top`` with each lane's top bit."""
     ones = _pack([1] * (2 * n + 1), bits)
-    top = ones << bits - 1
-    return ones, top, [top - (m + 1) * ones for m in range(n // 2 + 1)]
+    return ones, ones << bits - 1
+
+
+def _below(m: int, ones: int, top: int) -> int:
+    """top − (m + 1)·ones: 2^(bits−1) − 1 − m in every lane 0..2n."""
+    return top - (m + 1) * ones
 
 
 def _pack(values, bits: int) -> int:
@@ -356,18 +366,18 @@ def _swap_packed(
     )
 
 
-def _max_lane(packed: int, guess: int, ones: int, top: int, below: list[int]) -> int:
+def _max_lane(packed: int, guess: int, below: int, ones: int, top: int) -> int:
     """The largest lane of ``packed``, stepping from ``guess`` in 0..n/2.
 
     ``ones`` has a 1 in every lane and ``top`` each lane's top bit, and
-    below[m] = top − (m + 1)·ones (:func:`_thresholds`).  Adding below[m]
-    puts 2^(bits−1) − 1 − m in every lane, which sets a lane's top bit
-    exactly when the lane exceeds m, so one add and one and test every lane
-    at once; each further step adds or subtracts ``ones``.  A move shifts
-    the max by a few, so few tests run.
+    ``below`` is _below(guess, ones, top), which the caller keeps for its
+    current max.  Adding it puts 2^(bits−1) − 1 − guess in every lane, which
+    sets a lane's top bit exactly when the lane exceeds guess, so one add
+    and one and test every lane at once; each further step adds or
+    subtracts ``ones``.  A move shifts the max by a few, so few tests run.
     """
     m = guess
-    probe = packed + below[m]
+    probe = packed + below
     if probe & top:
         # Step up while some lane exceeds m.  Lanes of true counts stop this
         # by n/2; a negative probe means some lane borrowed, which only a
@@ -414,12 +424,14 @@ def heuristic_Mn(
     cross-correlation Σ_x α[x]·β[x−k] of A's and B's 0/1 indicators, so a
     swap changes it by four shifted indicators.  The counts and indicators
     live in lanes of three Python ints, so a move is scored with a few
-    whole-int shifts and adds (:func:`_swap_packed`) and its max found by
-    stepping a lane-parallel threshold test from the current max
-    (:func:`_max_lane`), both reading tables built once per run; moves are
-    drawn as ``randrange`` draws them (:func:`_proposer`).  Per move this
-    costs O(n) bit operations but no per-call numpy overhead, which wins at
-    the sizes this module runs (n up to about 500) and loses above them.
+    whole-int shifts and adds, one of them read from a table of swap
+    distances built once per run (:func:`_swap_packed`), and its max found
+    by stepping a lane-parallel threshold test from the current max, whose
+    threshold is rebuilt only when the max changes (:func:`_max_lane`);
+    moves are drawn as ``randrange`` draws them (:func:`_proposer`).  Per
+    move this costs O(n) bit operations but no per-call numpy overhead,
+    which wins at the sizes this module runs (n up to about 500) and loses
+    above them.
     Cooling is geometric from a temperature chosen so roughly half the
     uphill moves seen in a short warmup would accept.  The witness is the best state
     visited; ties at its max keep the lexicographically smallest membership
@@ -441,10 +453,11 @@ def heuristic_Mn(
     b_list = [v for v in range(1, n + 1) if v not in a_set]
     start = Splitting.from_a(n, a_list)
     bits = _lane_bits(n)
-    shift, unit, pair = _lane_table(n, bits)
-    ones, top, below = _thresholds(n, bits)
+    shift, pair = _lane_table(n, bits)
+    ones, top = _thresholds(n, bits)
     counts, a_lanes, r_lanes = _pack_splitting(start, bits)
-    cur_max = _max_lane(counts, 0, ones, top, below)
+    cur_max = _max_lane(counts, 0, _below(0, ones, top), ones, top)
+    below = _below(cur_max, ones, top)  # kept for cur_max
 
     mask = start.mask
     best_max = cur_max
@@ -459,7 +472,7 @@ def heuristic_Mn(
         cand = _swap_packed(
             counts, a_lanes, r_lanes, a_list[i], b_list[j], n, shift, pair
         )
-        m_new = _max_lane(cand, cur_max, ones, top, below)
+        m_new = _max_lane(cand, cur_max, below, ones, top)
         if m_new > cur_max:
             uphill.append(m_new - cur_max)
     if uphill:
@@ -475,15 +488,17 @@ def heuristic_Mn(
         a = a_list[i]
         b = b_list[j]
         cand = _swap_packed(counts, a_lanes, r_lanes, a, b, n, shift, pair)
-        m_new = _max_lane(cand, cur_max, ones, top, below)
+        m_new = _max_lane(cand, cur_max, below, ones, top)
         delta = m_new - cur_max
         if delta <= 0 or random_() < exp(-delta / (t0 * decay ** (step / last))):
             counts = cand
-            cur_max = m_new
+            if delta:
+                cur_max = m_new
+                below = _below(cur_max, ones, top)
             a_list[i] = b
             b_list[j] = a
-            a_lanes += unit[b + n] - unit[a + n]
-            r_lanes += unit[2 * n - a] - unit[2 * n - b]
+            a_lanes += (1 << shift[b + n]) - (1 << shift[a + n])
+            r_lanes += (1 << shift[2 * n - a]) - (1 << shift[2 * n - b])
             mask ^= (1 << (a - 1)) | (1 << (b - 1))
             if cur_max < best_max or (
                 cur_max == best_max and _lex_less(mask, best_mask)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from corrlab import (
 )
 from corrlab import minoverlap
 from corrlab.minoverlap import (
+    _below,
     _lane_bits,
     _lane_table,
     _lex_less,
@@ -156,8 +158,8 @@ class TestPackedSwap:
         # stepping agrees from below, at and above the current max.
         n, w = s.n, 2 * s.n + 1
         bits = _lane_bits(n)
-        ones, top, below = _thresholds(n, bits)
-        shift, _, pair = _lane_table(n, bits)
+        ones, top = _thresholds(n, bits)
+        shift, pair = _lane_table(n, bits)
         counts, a_lanes, r_lanes = _pack_splitting(s, bits)
         m = difference_histogram(s).max_value
         for a, b in swaps:
@@ -168,7 +170,8 @@ class TestPackedSwap:
             assert got >> bits * w == 0, (s.bits, a, b)
             assert _unpack(got, w, bits) == want.counts.tolist(), (s.bits, a, b)
             for guess in (0, m, n // 2):
-                assert _max_lane(got, guess, ones, top, below) == want.max_value, (
+                below = _below(guess, ones, top)
+                assert _max_lane(got, guess, below, ones, top) == want.max_value, (
                     s.bits, a, b, guess,
                 )
 
@@ -199,11 +202,11 @@ class TestPackedSwap:
     @pytest.mark.parametrize("n", [2, 4, 10, 118, 120, 200])
     def test_tables_decode(self, n):
         # pair[d] is +1 at lanes n ± d and −2 at lane n (decoded with 2 added
-        # to every lane, so none is negative), and below[m] holds the largest
-        # value under the top bit, less m, in every lane 0..2n.
+        # to every lane, so none is negative), and _below(m) holds the
+        # largest value under the top bit, less m, in every lane 0..2n.
         w, bits = 2 * n + 1, _lane_bits(n)
-        ones, top, below = _thresholds(n, bits)
-        _, _, pair = _lane_table(n, bits)
+        ones, top = _thresholds(n, bits)
+        shift, pair = _lane_table(n, bits)
         assert ones == _pack([1] * w, bits) and top == ones << bits - 1
         for d in range(1, n + 1):
             want = [0] * w
@@ -211,10 +214,25 @@ class TestPackedSwap:
             want[n + d] += 1
             want[n] -= 2
             assert [v - 2 for v in _unpack(pair[d] + 2 * ones, w, bits)] == want, d
-        assert len(pair) == n + 1 and len(below) == n // 2 + 1
-        for m, threshold in enumerate(below):
+        assert len(pair) == n + 1 and shift == [bits * x for x in range(w)]
+        for m in range(n // 2 + 1):
             want = [(1 << bits - 1) - 1 - m] * w + [0]
-            assert _unpack(threshold, w + 1, bits) == want, m
+            assert _unpack(_below(m, ones, top), w + 1, bits) == want, m
+
+    def test_per_run_memory_is_the_pair_table(self):
+        # pair[d] spans n + d lanes, about 1.5·bits·n² bits in all, and
+        # nothing else a run keeps or builds grows faster than n: no table
+        # of 2n + 1 lane units (2·bits·n² bits), of n/2 thresholds or of
+        # the (n/2)² differences.  CPython stores 30 bits per 4-byte digit.
+        n = 1000
+        bound = 1.5 * _lane_bits(n) * n * n / 8
+        tracemalloc.start()
+        try:
+            heuristic_Mn(n, budget=20, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * bound, (peak, bound)
 
     def test_lane_width_steps_between_118_and_120(self):
         assert (_lane_bits(118), _lane_bits(120)) == (7, 8)

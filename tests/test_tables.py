@@ -92,6 +92,23 @@ class TestDivisor:
             )
             assert upper.value(n) == convolved, (order, n)
 
+    def test_values_past_int32_are_exact(self):
+        # d_17(2^19) = C(35, 16) > 2^31, so the factor pass must not hold
+        # rule(p, e) in a 32-bit buffer even though the span fits one.
+        span = 2**19 + 1
+        t = build_table(FunctionKind.divisor(17), span, 0)
+        assert t.value(2**19) == math.comb(35, 16) > 2**31
+        for n in [*range(1 << 12, span, 1 << 12), *range(span - 100, span + 1)]:
+            exps, m, p = [], n, 2
+            while p * p <= m:
+                e = 0
+                while m % p == 0:
+                    m, e = m // p, e + 1
+                exps.append(e)
+                p += 1
+            exps.append(int(m > 1))
+            assert t.value(n) == math.prod(math.comb(e + 16, 16) for e in exps), n
+
     def test_d2_first_values(self):
         t = build_table(FunctionKind.divisor(2), 12)
         assert [t.value(n) for n in range(1, 13)] == [
@@ -279,6 +296,13 @@ class TestFactorSieve:
         # 25 windows of 2^12: n = 2^16 and most p^2 sit past a window edge.
         monkeypatch.setattr(_sieves, "_WINDOW", 1 << 12)
         assert_matches_oracle(kind, [ORACLE_SPAN])
+
+    def test_refuses_a_rule_not_affine_in_p(self):
+        # σ_2(p) = p² + 1: the leftover prime's rule(P, 1) would come out
+        # wrong, so the pass refuses the rule instead.
+        sigma2 = lambda p, e: sum(p ** (2 * i) for i in range(e + 1))
+        with pytest.raises(ValueError, match="affine"):
+            _sieves._factor_filler(100, [2, 3, 5, 7], sigma2, np.multiply)
 
 
 # -- table plumbing -----------------------------------------------------------

@@ -55,6 +55,10 @@ INVOCATIONS = (
     # d_17(2^19) = C(35, 16) passes 2^31 in a span that fits int32.
     ["sieve", "--kind", "divisor17", "--limit", "524288", "--headroom", "1",
      "--out", "table.csv"],
+    # d_85 is the largest order whose values at 65536 fit int64; d_86's
+    # pass it and are refused (exit 1 with one usage line).
+    ["sieve", "--kind", "divisor85", "--limit", "65536", "--out", "table.csv"],
+    ["sieve", "--kind", "divisor86", "--limit", "65536", "--out", "table.csv"],
     # The payload follows the kind: no --mode flag, exit 1 with one usage line.
     ["sieve", "--kind", "divisor", "--limit", "2000", "--headroom", "2",
      "--mode", "floating", "--out", "table.csv"],
@@ -68,6 +72,8 @@ INVOCATIONS = (
     # The exhaustive search at the benchmark's size and at the default cap.
     ["minoverlap", "--n", "20", "--exact", "--out", "mo.csv"],
     ["minoverlap", "--n", "24", "--exact"],
+    ["minoverlap", "--n", "26", "--exact", "--cap", "26"],
+    ["minoverlap", "--n", "28", "--exact", "--cap", "28"],
     ["minoverlap", "--n", "40", "--heuristic", "--budget", "5000", "--out", "mo.csv"],
     # The annealer at the default budget, and at n = 2, where nothing moves.
     # Seed 9 is a second trajectory, one that reaches M = 41.
@@ -158,7 +164,10 @@ def main(old_src: str, new_src: str) -> int:
         bad = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
         files = len(old) - 3
         status = "differ: " + ", ".join(bad) if bad else "identical"
-        print(f"{' '.join(argv)}: exit {old['exit'].decode()}, {files} files, {status}")
+        exits = old["exit"].decode()
+        if new["exit"] != old["exit"]:
+            exits += f" -> {new['exit'].decode()}"
+        print(f"{' '.join(argv)}: exit {exits}, {files} files, {status}")
         differences += len(bad)
     return 1 if differences else 0
 

@@ -56,6 +56,11 @@ def sieve(name: str, order: int, span: int) -> np.ndarray:
     """f(1..span) for the kind labelled ``name`` (a ``Variant`` value;
     ``order`` is the divisor tower's height): int64, or float64 for Λ and Υ.
     """
+    if name == "divisor" and (peak := _divisor_peak(order, span)) >= 2**63:
+        raise ValueError(
+            f"divisor{order} reaches {peak} within 1..{span}, past int64; "
+            "lower the order or the span"
+        )
     primes = primes_upto(math.isqrt(span)).tolist()
     # Made before any filler's window buffers.  Made after them, the output
     # kept them resident once freed (glibc's heap layout): `corrlab claims`
@@ -79,6 +84,30 @@ def sieve(name: str, order: int, span: int) -> np.ndarray:
     for lo in range(0, span, _WINDOW):
         fill(out[lo : lo + _WINDOW], lo)
     return out
+
+
+def _divisor_peak(order: int, span: int) -> int:
+    """The largest d_order(n) over n <= span, exactly.
+
+    rule(p, e) = C(e + order − 1, order − 1) depends on e alone, so moving
+    n's exponents, largest first, onto 2, 3, 5, … keeps d and does not raise
+    n: the peak lies at some n = 2^e₁·3^e₂·5^e₃⋯ with e₁ >= e₂ >= ⋯, and
+    the walk tries every such n <= span.  Such an n has at most
+    b = span.bit_length() primes, and the first b primes lie below b² + 2.
+    """
+    b = span.bit_length()
+    primes = primes_upto(b * b + 2).tolist()
+    # n, d_order(n), the index of n's next prime and that prime's largest e.
+    peak, stack = 1, [(1, 1, 0, b)]
+    while stack:
+        n, d, i, top = stack.pop()
+        peak = max(peak, d)
+        for e in range(1, top + 1):
+            n *= primes[i]
+            if n > span:
+                break
+            stack.append((n, d * math.comb(e + order - 1, order - 1), i + 1, e))
+    return peak
 
 
 def _factor_filler(span: int, primes: list[int], rule, combine):

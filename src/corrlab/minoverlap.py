@@ -2,10 +2,10 @@
 that no difference k = a − b is over-represented.
 
 M(n) is the min over splittings of the max over k of M_k, where M_k counts
-solutions of a − b = k.  The module offers an exhaustive search (small n),
-a seeded annealing search (any even n), and a comparison table against the
-published bounds.  Those bounds are stated for Erdős's M(N), which splits
-{1..2N}, so the table evaluates them at N = n/2.
+solutions of a − b = k.  The module offers an exact search (n up to about
+32), a seeded annealing search (any even n), and a comparison table against
+the published bounds.  Those bounds are stated for Erdős's M(N), which
+splits {1..2N}, so the table evaluates them at N = n/2.
 """
 
 from __future__ import annotations
@@ -18,11 +18,8 @@ import numpy as np
 
 from .errors import CapExceeded
 
-#: Default ceiling for the exhaustive search; the space is C(n-1, n/2-1).
+#: Default ceiling for the exact search (2-CPU host: 0.1 s at n = 24, 4 s at 32).
 DEFAULT_EXACT_CAP = 24
-
-#: Masks the exhaustive search scores at a time; bounds its temporaries.
-_CHUNK = 1 << 14
 
 #: Default move budget for the annealing search.
 DEFAULT_BUDGET = 100_000
@@ -159,18 +156,6 @@ def _lex_less(a: int, b: int) -> bool:
     return d != 0 and not a & d & -d
 
 
-def _max_overlaps(mask_a: np.ndarray, n: int) -> np.ndarray:
-    """Max M_k of each splitting of {1..n} whose A is a uint64 mask in
-    ``mask_a``.  With B the rest, A & (B << k) has a bit per solution of
-    a − b = k and A & (B >> k) one per a − b = −k; M_0 is always 0."""
-    mask_b = mask_a ^ np.uint64((1 << n) - 1)
-    best = np.zeros(len(mask_a), dtype=np.uint8)
-    for k in range(1, n):
-        np.maximum(best, np.bitwise_count(mask_a & (mask_b << k)), out=best)
-        np.maximum(best, np.bitwise_count(mask_a & (mask_b >> k)), out=best)
-    return best
-
-
 def bounds_table(result: "OverlapResult") -> list[BoundRow]:
     """Compare a search result against the published bounds on M(N).
 
@@ -250,39 +235,53 @@ def _finalize(result: OverlapResult) -> OverlapResult:
 
 
 def exact_Mn(n: int, cap: int = DEFAULT_EXACT_CAP) -> OverlapResult:
-    """Optimal M(n) with a witness, by exhaustive search.
+    """Optimal M(n) with a witness, by depth-first branch and bound.
 
     Fixing 1 ∈ A loses nothing: swapping the halves reflects the histogram
-    (k to −k) and leaves its max unchanged.  Every splitting with 1 ∈ A is
-    scored in numpy, :data:`_CHUNK` at a time, through its mirror x → n+1−x,
-    which reflects the histogram too (:func:`_max_overlaps`).  The mirror's
-    mask read from its top bit down is the membership sequence, so masks
-    ascend in lexicographic order and ties at the optimum keep the smallest.
-    Masks are uint64, so n above 64 is refused whatever the cap.
+    (k to −k) and leaves its max unchanged.  Elements 2..n are placed in
+    order, B before A, so leaves arrive in :attr:`Splitting.bits` order.
+    Counts sit in the annealer's lanes (lane k + n holds M_k); placing x
+    adds one shift of B's lanes n − b (x in A) or of A's lanes n + a (x in
+    B).  Counts only grow, so a child whose max reaches the best so far is
+    pruned by one add and one and (:func:`_below`), and as ties never
+    replace it, the witness is the lexicographically least optimum.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 2, got {n}")
     if cap < 2:
         raise ValueError(f"cap must be >= 2, got {cap}")
-    if n > min(cap, 64):  # masks are uint64
+    if n > cap:
         raise CapExceeded(
             f"exhaustive search over C({n - 1},{n // 2 - 1}) splittings "
-            f"refused: n={n} exceeds cap {min(cap, 64)}"
+            f"refused: n={n} exceeds cap {cap}"
         )
-    top = 1 << n - 1  # element 1 of A, in the mirror's mask
-    best_m, best = n, 0  # n is above any achievable max
-    for lo in range(0, top, _CHUNK):
-        rest = np.arange(lo, min(lo + _CHUNK, top), dtype=np.uint64)
-        mirror = rest[np.bitwise_count(rest) == n // 2 - 1] | top
-        if len(mirror):
-            m = _max_overlaps(mirror, n)
-            i = int(m.argmin())  # the first optimum, so the least string
-            if m[i] < best_m:
-                best_m, best = int(m[i]), int(mirror[i])
-    witness = Splitting.from_bits(f"{best:0{n}b}")
-    return _finalize(
-        OverlapResult(n=n, m=best_m, witness=witness, method="exhaustive")
-    )
+    half, bits = n // 2, _lane_bits(n)
+    shift, _ = _lane_table(n, bits)
+    ones, top = _thresholds(n, bits)
+    # Counts are at most n/2.  _below(m) borrows across lanes once m nears
+    # a lane's top bit (about n/2 + 4), so the first bound cannot be n.
+    best_m, best, below = half + 1, 0, _below(half, ones, top)
+    # Next element, |A|, counts, A's lanes, B's lanes, A's mask.
+    stack = [(2, 1, 0, 1 << shift[n + 1], 0, 1)]
+    while stack:
+        x, na, counts, a_lanes, r_lanes, mask = stack.pop()
+        if x > n:  # a leaf pushed before the last improvement may not beat it
+            m = _max_lane(counts, best_m - 1, below, ones, top)
+            if m < best_m:
+                best_m, best, below = m, mask, _below(m - 1, ones, top)
+        else:
+            if na < half:  # x in A, pushed first so B's branch runs first
+                c = counts + (r_lanes << shift[x])
+                if not (c + below) & top:
+                    a_x = a_lanes + (1 << shift[n + x])
+                    stack.append((x + 1, na + 1, c, a_x, r_lanes, mask | 1 << x - 1))
+            if x - 1 - na < half:  # x in B
+                c = counts + (a_lanes >> shift[x])
+                if not (c + below) & top:
+                    r_x = r_lanes + (1 << shift[n - x])
+                    stack.append((x + 1, na, c, a_lanes, r_x, mask))
+    witness = Splitting(n, best)
+    return _finalize(OverlapResult(n=n, m=best_m, witness=witness, method="exhaustive"))
 
 
 def _lane_bits(n: int) -> int:

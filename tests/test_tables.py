@@ -32,6 +32,7 @@ from corrlab import (
     type1,
 )
 from corrlab import _sieves
+from corrlab.cli import main
 
 # -- elementary oracles -------------------------------------------------------
 
@@ -108,6 +109,37 @@ class TestDivisor:
                 p += 1
             exps.append(int(m > 1))
             assert t.value(n) == math.prod(math.comb(e + 16, 16) for e in exps), n
+
+    def test_largest_order_that_fits_int64_at_65536_is_exact(self):
+        # d_85 peaks near 0.9·2⁶³ below 65536, so every entry must be exact.
+        kind = FunctionKind.divisor(85)
+        got = build_table(kind, 65536).values.tolist()
+        exps = exponent_oracle(ORACLE_SPAN)[:65536]
+        want = [value_oracle(kind, n, e) for n, e in enumerate(exps, start=1)]
+        assert got == want
+        assert max(want) > 2**62
+
+    @pytest.mark.parametrize("order", [86, 96])
+    def test_refuses_an_order_whose_values_pass_int64(self, order):
+        # Each per-prime lookup fits int64 here; their products do not, and
+        # d_96 once wrapped silently (n = 36864 read negative).
+        with pytest.raises(ValueError, match="past int64"):
+            build_table(FunctionKind.divisor(order), 65536)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sieve", "--kind", "divisor100", "--limit", "1048576"],
+            ["claims", "--divisor-order", "86", "--grid", "1000,100000"],
+        ],
+        ids=["lookup-past-int64", "claims"],
+    )
+    def test_cli_refuses_with_one_usage_line(self, argv, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: code=USAGE divisor")
+        assert err.count("\n") == 1
 
     def test_d2_first_values(self):
         t = build_table(FunctionKind.divisor(2), 12)

@@ -75,6 +75,9 @@ INVOCATIONS = (
     ["minoverlap", "--n", "26", "--exact", "--cap", "26"],
     ["minoverlap", "--n", "28", "--exact", "--cap", "28"],
     ["minoverlap", "--n", "40", "--heuristic", "--budget", "5000", "--out", "mo.csv"],
+    # Lanes widen from 7 bits at n = 118 to 8 at 120.
+    ["minoverlap", "--n", "120", "--heuristic", "--budget", "5000", "--seed", "1",
+     "--out", "mo.csv"],
     # The annealer at the default budget, and at n = 2, where nothing moves.
     # Seed 9 is a second trajectory, one that reaches M = 41.
     ["minoverlap", "--n", "200", "--heuristic", "--seed", "3", "--out", "mo.csv"],
@@ -106,6 +109,8 @@ INVOCATIONS = (
     ["constants", "--kind", "eulerphi", "--x", "20000000", "--shift", "0"],
     # Usage errors: a bad grid, a bad config value, a missing config file.
     ["claims", "--grid", "1000,100", "--out-dir", "o"],
+    # A non-finite slack: exit 1 with one usage line.
+    ["claims", "--grid", "1000", "--slack", "nan", "--no-svg", "--out-dir", "o"],
     ["report", "--config", "bad.cfg", "--out-dir", "o"],
     ["report", "--config", "missing.cfg", "--out-dir", "o"],
     # An unknown kind (exit 1) and an unknown claim id (exit 2).

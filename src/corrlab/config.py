@@ -10,6 +10,7 @@ step sizes its own pool, and outputs do not depend on it.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -56,6 +57,9 @@ class ExperimentConfig:
             raise ConfigError("shifts must be non-empty")
         if any(s < 1 for s in self.shifts):
             raise ConfigError(f"shifts must be positive: {self.shifts}")
+        for key in ("tolerance", "slack", "c"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite: {getattr(self, key)}")
         if self.tolerance <= 0:
             raise ConfigError(f"tolerance must be positive: {self.tolerance}")
         if self.slack < 0:

@@ -24,6 +24,7 @@ from .tables import (
     PrefixSums,
     _as_values,
     _check_range,
+    _finite_floats,
     _integer_valued,
 )
 
@@ -51,12 +52,7 @@ class SequencePair:
         if r.size < 1:
             raise ValueError("sequences must have length >= 1")
         if not (_integer_valued(r) and _integer_valued(h)):
-            try:
-                r, h = r.astype(np.float64), h.astype(np.float64)
-            except OverflowError:
-                raise ValueError("a non-integer pair must fit float64") from None
-            if not (np.isfinite(r).all() and np.isfinite(h).all()):
-                raise ValueError("sequence values must be finite")
+            r, h = (_finite_floats(a, "sequence values") for a in (r, h))
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "h", h)
 

@@ -241,9 +241,9 @@ def exact_Mn(n: int, cap: int = DEFAULT_EXACT_CAP) -> OverlapResult:
     (k to −k) and leaves its max unchanged.  Elements 2..n are placed in
     order, B before A, so leaves arrive in :attr:`Splitting.bits` order.
     Counts sit in the annealer's lanes (lane k + n holds M_k); placing x
-    adds one shift of B's lanes n − b (x in A) or of A's lanes n + a (x in
-    B).  Counts only grow, so a child whose max reaches the best so far is
-    pruned by one add and one and (:func:`_below`), and as ties never
+    adds one shift of B's lanes 2n − b (x in A) or of A's lanes n + a (x
+    in B).  Counts only grow, so a child whose max reaches the best so far
+    is pruned by one add and one and (:func:`_below`), and as ties never
     replace it, the witness is the lexicographically least optimum.
     """
     if n < 2 or n % 2 != 0:
@@ -271,14 +271,14 @@ def exact_Mn(n: int, cap: int = DEFAULT_EXACT_CAP) -> OverlapResult:
                 best_m, best, below = m, mask, _below(m - 1, ones, top)
         else:
             if na < half:  # x in A, pushed first so B's branch runs first
-                c = counts + (r_lanes << shift[x])
+                c = counts + (r_lanes >> shift[n - x])
                 if not (c + below) & top:
                     a_x = a_lanes + (1 << shift[n + x])
                     stack.append((x + 1, na + 1, c, a_x, r_lanes, mask | 1 << x - 1))
             if x - 1 - na < half:  # x in B
                 c = counts + (a_lanes >> shift[x])
                 if not (c + below) & top:
-                    r_x = r_lanes + (1 << shift[n - x])
+                    r_x = r_lanes + (1 << shift[2 * n - x])
                     stack.append((x + 1, na, c, a_lanes, r_x, mask))
     witness = Splitting(n, best)
     return _finalize(OverlapResult(n=n, m=best_m, witness=witness, method="exhaustive"))
@@ -307,9 +307,9 @@ def _lane_table(n: int, bits: int) -> tuple[list[int], list[int]]:
 
 
 def _thresholds(n: int, bits: int) -> tuple[int, int]:
-    """:func:`_max_lane`'s constants: ``ones`` with a 1 in each lane 0..2n
-    and ``top`` with each lane's top bit."""
-    ones = _pack([1] * (2 * n + 1), bits)
+    """:func:`_max_lane`'s constants: ``ones`` = Σ 2^(bits·x), a 1 in each
+    lane x in 0..2n, and ``top`` with each lane's top bit."""
+    ones = ((1 << bits * (2 * n + 1)) - 1) // ((1 << bits) - 1)
     return ones, ones << bits - 1
 
 
@@ -318,25 +318,17 @@ def _below(m: int, ones: int, top: int) -> int:
     return top - (m + 1) * ones
 
 
-def _pack(values, bits: int) -> int:
-    """One Python int whose ``bits``-wide lane i holds ``values[i]`` >= 0."""
-    packed = 0
-    for v in reversed(values):
-        packed = packed << bits | v
-    return packed
-
-
 def _pack_splitting(s: Splitting, bits: int) -> tuple[int, int, int]:
-    """The packed state of the swap kernel: counts, A, B reversed.
+    """The packed state both searches share: counts, A, B reversed.
 
-    Lane k + n of the counts holds M_k for k in [−n, n]; lane x + n of the
-    second int is 1 when x is in A, and lane 2n − x of the third when x is
-    in B.
+    Lane x + n of the second int is 1 when x is in A, and lane 2n − x of
+    the third when x is in B.  Lane k + n of the counts holds M_k, built as
+    :func:`exact_Mn` places each a in A: B's lanes shifted down by n − a.
     """
     n = s.n
-    counts = _pack(difference_histogram(s).counts.tolist(), bits)
     a_lanes = sum(1 << bits * (x + n) for x in s.a_elements)
     r_lanes = sum(1 << bits * (2 * n - x) for x in s.b_elements)
+    counts = sum(r_lanes >> bits * (n - a) for a in s.a_elements)
     return counts, a_lanes, r_lanes
 
 
@@ -448,9 +440,8 @@ def heuristic_Mn(
     steps = budget if half > 1 else 0
 
     a_list = [1] + rng.sample(range(2, n + 1), half - 1)
-    a_set = set(a_list)
-    b_list = [v for v in range(1, n + 1) if v not in a_set]
     start = Splitting.from_a(n, a_list)
+    b_list = list(start.b_elements)
     bits = _lane_bits(n)
     shift, pair = _lane_table(n, bits)
     ones, top = _thresholds(n, bits)
@@ -458,9 +449,8 @@ def heuristic_Mn(
     cur_max = _max_lane(counts, 0, _below(0, ones, top), ones, top)
     below = _below(cur_max, ones, top)  # kept for cur_max
 
-    mask = start.mask
+    mask = best_mask = start.mask
     best_max = cur_max
-    best_mask = mask
 
     propose, random_, exp = _proposer(rng, half), rng.random, math.exp
 
@@ -506,13 +496,5 @@ def heuristic_Mn(
                 best_mask = mask
 
     witness = Splitting(n, best_mask)
-    return _finalize(
-        OverlapResult(
-            n=n,
-            m=best_max,
-            witness=witness,
-            method="heuristic",
-            budget=budget,
-            seed=seed,
-        )
-    )
+    result = OverlapResult(n, best_max, witness, "heuristic", budget=budget, seed=seed)
+    return _finalize(result)

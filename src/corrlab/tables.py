@@ -37,6 +37,17 @@ def _integer_valued(a: np.ndarray) -> bool:
     return a.dtype.kind in "biu"
 
 
+def _finite_floats(a: np.ndarray, what: str) -> np.ndarray:
+    """``a`` as float64; a NaN, ±inf or value past float range is refused."""
+    try:
+        a = a.astype(np.float64)
+    except OverflowError:
+        raise ValueError(f"{what} must fit float64") from None
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    return a
+
+
 class Variant(Enum):
     """Which arithmetic function a :class:`FunctionKind` selects."""
 
@@ -212,7 +223,8 @@ class FunctionTable:
 
         Integers make an exact int64 table and anything else a float64 one.
         uint64 and object values pass through Python ints, so one that int64
-        cannot hold is refused with a ValueError instead of wrapping.
+        cannot hold is refused with a ValueError instead of wrapping, as is
+        a NaN, ±inf or a value past float range.
         """
         arr = _as_values(values if isinstance(values, np.ndarray) else list(values))
         if _integer_valued(arr):
@@ -221,7 +233,7 @@ class FunctionTable:
             except OverflowError:
                 raise ValueError(f"{name}: integer values must fit int64") from None
         else:
-            arr = arr.astype(np.float64)
+            arr = _finite_floats(arr, f"{name}: values")
         return cls(
             kind=FunctionKind.custom(name),
             limit=arr.size - shift_headroom,

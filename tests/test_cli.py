@@ -182,6 +182,23 @@ class TestRefusesBeforeSieving:
         assert err.startswith(prefix) and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["slack", "c", "tolerance"])
+    def test_non_finite_float(self, capsys, tmp_path, key, value):
+        # claims takes slack and c as flags and report all three from its
+        # config file; a NaN slack would read every cell violated, an
+        # infinite one every cell consistent.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        runs = [["report", "--config", str(cfg)]]
+        if key != "tolerance":
+            runs.append(["claims", f"--{key}={value}"])
+        line = f"error: code=USAGE {key} must be finite: {float(value)}\n"
+        out = tmp_path / "out"
+        for argv in runs:
+            assert run(capsys, *argv, "--out-dir", str(out)) == (1, "", line), argv
+            assert not out.exists()
+
 
 class TestSieve:
     def test_summary_line(self, capsys):

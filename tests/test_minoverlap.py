@@ -31,7 +31,6 @@ from corrlab.minoverlap import (
     _lane_table,
     _lex_less,
     _max_lane,
-    _pack,
     _pack_splitting,
     _proposer,
     _swap_packed,
@@ -173,15 +172,34 @@ class TestPackedSwap:
                 )
 
     def test_packs_the_histogram(self):
-        for s in _fullest(10) + [Splitting.from_a(10, (1, 3, 4, 8, 9))]:
-            bits = _lane_bits(10)
+        # The counts built by placement decode to the histogram for every
+        # splitting of 10 with 1 in A, both whose max fills a lane, and
+        # random ones on both sides of the lane-width step (7 bits at
+        # n = 118, 8 at 120).
+        rng = random.Random(0)
+        splittings = [
+            Splitting.from_a(10, (1,) + rest)
+            for rest in itertools.combinations(range(2, 11), 4)
+        ]
+        assert len(splittings) == 126
+        splittings += _fullest(10)
+        for n in (118, 120, 200):
+            splittings += [
+                Splitting.from_a(n, rng.sample(range(1, n + 1), n // 2))
+                for _ in range(5)
+            ] + _fullest(n)
+        for s in splittings:
+            n, w = s.n, 2 * s.n + 1
+            bits = _lane_bits(n)
             counts, a_lanes, r_lanes = _pack_splitting(s, bits)
-            assert _unpack(counts, 21, bits) == difference_histogram(s).counts.tolist()
-            assert _unpack(a_lanes, 21, bits) == [
-                int(x - 10 in s.a_elements) for x in range(21)
+            assert counts >> bits * w == 0, s.bits
+            want = difference_histogram(s).counts.tolist()
+            assert _unpack(counts, w, bits) == want, s.bits
+            assert _unpack(a_lanes, w, bits) == [
+                int(x - n in s.a_elements) for x in range(w)
             ]
-            assert _unpack(r_lanes, 21, bits) == [
-                int(20 - x in s.b_elements) for x in range(21)
+            assert _unpack(r_lanes, w, bits) == [
+                int(2 * n - x in s.b_elements) for x in range(w)
             ]
 
     @pytest.mark.parametrize("n", [2, 4, 10, 40])
@@ -204,7 +222,8 @@ class TestPackedSwap:
         w, bits = 2 * n + 1, _lane_bits(n)
         ones, top = _thresholds(n, bits)
         shift, pair = _lane_table(n, bits)
-        assert ones == _pack([1] * w, bits) and top == ones << bits - 1
+        assert _unpack(ones, w + 1, bits) == [1] * w + [0]
+        assert top == ones << bits - 1
         for d in range(1, n + 1):
             want = [0] * w
             want[n - d] += 1

@@ -386,6 +386,22 @@ class TestBuildTable:
         with pytest.raises(ValueError, match="int64"):
             FunctionTable.from_values("big", [top, 1])
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (math.nan, "finite"),
+            (math.inf, "finite"),
+            (-math.inf, "finite"),
+            (10**400, "float64"),
+        ],
+        ids=["nan", "inf", "-inf", "past-float"],
+    )
+    def test_from_values_refuses_non_finite(self, bad, match):
+        # A NaN would make type-1 sums NaN and the bilinear form fail to
+        # convert it to a ratio; 10**400 beside a float cannot become one.
+        with pytest.raises(ValueError, match=f"^t: values must .*{match}"):
+            FunctionTable.from_values("t", [1.0, bad, 2.0])
+
     def test_from_values_keeps_integers_that_fit(self):
         for values in (
             np.array([2**63 - 1, 0, 3], dtype=np.uint64),

@@ -32,6 +32,8 @@ INVOCATIONS = (
      "--out", "const.csv"],
     ["constants", "--kind", "vonmangoldt", "--x", "100000", "--shift", "2",
      "--out", "const.csv"],
+    # Two full float blocks of running sums plus one entry.
+    ["constants", "--kind", "vonmangoldt", "--x", "8194", "--shift", "2"],
     # Float type-2 fields beyond Λ; then an empty type-2 sum, so d_of_x is 0.
     ["constants", "--kind", "masterupsilon", "--x", "100000", "--shift", "2"],
     ["constants", "--kind", "musquared", "--x", "2", "--shift", "1"],
@@ -116,6 +118,10 @@ INVOCATIONS = (
     # An unknown kind (exit 1) and an unknown claim id (exit 2).
     ["report", "--config", "badkind.cfg", "--out-dir", "o"],
     ["report", "--config", "badclaim.cfg", "--out-dir", "o"],
+    # Kinds no sieve builds, refused before any table is: a custom kind
+    # (exit 2) and a divisor order whose values pass int64 (exit 1).
+    ["report", "--config", "custom.cfg", "--out-dir", "o"],
+    ["claims", "--divisor-order", "86", "--grid", "1000,65536", "--out-dir", "o"],
 )
 
 #: Files placed in each working directory before the run.
@@ -123,6 +129,7 @@ INPUTS = {
     "bad.cfg": "slack=-1\n",
     "badkind.cfg": "kinds=vonmangoldt,bogus\n",
     "badclaim.cfg": "claims=thm3.1-twin,nosuch\n",
+    "custom.cfg": "kinds=custom:foo,eulerphi\n",
     "integer.cfg": "kinds=divisor,eulerphi\nshifts=1,2\n",
     "plan.cfg": "kinds=phi,eulerphi,bigomega\nshifts=1,6\n"
                 "claims=thm3.1-twin,cor6.3-phi\n",

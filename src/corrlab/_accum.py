@@ -15,7 +15,9 @@ magnitude, which a table records once when it is built (bare arrays are
 measured once per call), so no kernel scans its chunks for it.
 
 Float routes bound the relative error of long reductions by combining
-blockwise ``numpy`` kernels with ``math.fsum`` across block totals.
+blockwise ``numpy`` kernels with ``math.fsum`` across block totals.  One
+writer, :func:`_float_runs`, forms the float running sums of both
+:func:`running_sums` and :func:`running_dot`, so the two agree bit for bit.
 
 Long operands are walked in chunks of ``_CHUNK`` entries.  Two int64 chunks
 take 1 MiB, which fits in a core's L2 cache, so every pass a kernel makes
@@ -213,18 +215,15 @@ def running_sums(a: np.ndarray, bits: int | None = None) -> np.ndarray:
     :func:`exact_sum`.
 
     Integer sums are exact: int64, written in one pass, when every partial
-    sum provably fits, else Python ints.  Float sums run a plain
-    ``np.cumsum`` per block and add the block's offset (see
-    :func:`_carried_blocks`), far below ordinary cumsum drift.
+    sum provably fits, else Python ints.  Float sums are written block by
+    block by :func:`_float_runs`, far below ordinary cumsum drift.
     """
     if _is_float(a):
         af = np.ascontiguousarray(a, dtype=np.float64)
         out = np.empty(af.size + 1)
         out[0] = 0.0
-        for s, block, offset in _carried_blocks(af):
-            run = out[1 + s : 1 + s + block.size]
-            np.cumsum(block, out=run)
-            run += offset
+        for _ in _float_runs(af, out[1:]):
+            pass
         return out
     a = _exact_operand(a)
     if a.dtype != object and sums_fit_int64(a, bits):
@@ -239,8 +238,8 @@ def running_dot(
     a: np.ndarray, b: np.ndarray, bits: int | None = None
 ) -> int | float:
     """``dot(a, running_sums(b)[1:])``, with equal bits; ``bits`` as for
-    :func:`counted_dots`.  A float ``b`` forms each block's running sums
-    next to the dot that reads them, so no array of them is written.
+    :func:`counted_dots`.  A float ``b``'s runs go to one block of scratch,
+    so no array of them is written.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
@@ -249,14 +248,8 @@ def running_dot(
         return dot(a, running_sums(b, bits)[1:], bound)
     af = np.ascontiguousarray(a, dtype=np.float64)
     bf = np.ascontiguousarray(b, dtype=np.float64)
-    scratch = np.empty(min(_FLOAT_BLOCK, bf.size))
-    partials = []
-    for s, block, offset in _carried_blocks(bf):
-        run = scratch[: block.size]
-        np.cumsum(block, out=run)
-        run += offset
-        partials.append(float(np.dot(af[s : s + block.size], run)))
-    return math.fsum(partials)
+    runs = _float_runs(bf, np.empty(min(_FLOAT_BLOCK, bf.size)))
+    return math.fsum(float(np.dot(af[s : s + run.size], run)) for s, run in runs)
 
 
 def _block_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
@@ -267,17 +260,21 @@ def _block_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
     ]
 
 
-def _carried_blocks(a: np.ndarray) -> Iterator[tuple[int, np.ndarray, float]]:
-    """Yield (start, block, offset) for each ``_FLOAT_BLOCK`` block of ``a``.
-
-    The offset is the correctly rounded sum of all earlier block totals (as
-    ``math.fsum`` of them).  Every finite double is a whole number of
-    2**-1074 units (the smallest subnormal), so the earlier block totals add
-    up exactly as an int, and int / int rounds correctly.
+def _float_runs(a: np.ndarray, out: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, run) for each ``_FLOAT_BLOCK`` block of ``a``: run, a
+    view of ``out`` (as long as ``a``, or one block long and reused), holds
+    the block's ``np.cumsum`` plus the correctly rounded sum of all earlier
+    block totals.  Every finite double is a whole number of 2**-1074 units
+    (the smallest subnormal), so those totals add up exactly as an int, and
+    int / int rounds correctly.
     """
     units, carried = 1 << 1074, 0
     for s in range(0, a.size, _FLOAT_BLOCK):
         block = a[s : s + _FLOAT_BLOCK]
-        yield s, block, carried / units
+        at = s if out.size == a.size else 0
+        run = out[at : at + block.size]
+        np.cumsum(block, out=run)
+        run += carried / units
         num, den = float(block.sum()).as_integer_ratio()
         carried += num * (units // den)
+        yield s, run

@@ -56,11 +56,6 @@ def sieve(name: str, order: int, span: int) -> np.ndarray:
     """f(1..span) for the kind labelled ``name`` (a ``Variant`` value;
     ``order`` is the divisor tower's height): int64, or float64 for Λ and Υ.
     """
-    if name == "divisor" and (peak := _divisor_peak(order, span)) >= 2**63:
-        raise ValueError(
-            f"divisor{order} reaches {peak} within 1..{span}, past int64; "
-            "lower the order or the span"
-        )
     primes = primes_upto(math.isqrt(span)).tolist()
     # Made before any filler's window buffers.  Made after them, the output
     # kept them resident once freed (glibc's heap layout): `corrlab claims`

@@ -273,12 +273,7 @@ def _claims_step(cfg: ExperimentConfig, want_svg: bool, sweep=False) -> ReportBu
                 ("computed", xs, [p[1] for p in finite]),
                 ("bound", xs, [p[2] for p in finite]),
             ]
-            svg = render_line_chart(
-                f"{c.claim}: computed vs bound",
-                series,
-                log_x=True,
-                log_y=True,
-            )
+            svg = render_line_chart(f"{c.claim}: computed vs bound", series)
             write_svg(out / f"claim-{c.claim}.svg", svg)
     return bundle
 

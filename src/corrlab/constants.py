@@ -47,6 +47,7 @@ from .tables import (
     VON_MANGOLDT,
     FunctionKind,
     FunctionTable,
+    _check_buildable,
     build_table,
 )
 
@@ -401,14 +402,14 @@ def _score_kind(
     specs: Sequence[_ClaimSpec],
     grid: tuple[int, ...],
     settings: ClaimSettings,
-    shifts: Sequence[int] = (),
+    shifts: Sequence[int],
+    headroom: int,
 ) -> tuple[list[ClaimReport], list[CorrelationResult]]:
     """Score one kind's claims and sweep its type-1 sums at ``shifts``, from
-    one table sieved at max(grid) with the largest shift either reads.
+    one table sieved at max(grid) + headroom, the largest shift either reads.
 
     The claims share one bilinear form per x; the sweep runs in grid, then
     shift, order.  The table is dropped when the task returns."""
-    headroom = max((*(_shift(spec, settings) for spec in specs), *shifts))
     table = build_table(kind, max(grid), shift_headroom=headroom)
     form = functools.cache(functools.partial(bilinear_rhs, table))
     reports = [_score(spec, table, form, grid, settings) for spec in specs]
@@ -474,13 +475,17 @@ def _evaluate(
         plan.setdefault(spec.kind_fn(settings), []).append(spec)
     for kind in sweep_kinds:
         plan.setdefault(kind, [])
+    tasks = []
+    for kind, kind_specs in plan.items():
+        kind_shifts = tuple(shifts) if kind in sweep_kinds else ()
+        headroom = max((*(_shift(spec, settings) for spec in kind_specs), *kind_shifts))
+        _check_buildable(kind, max(grid) + headroom)  # before any table is built
+        tasks.append((kind, kind_specs, grid, settings, kind_shifts, headroom))
     # Imported here so that commands which score no claims never load it.
     from concurrent.futures import ThreadPoolExecutor
 
-    kind_shifts = (tuple(shifts) if kind in sweep_kinds else () for kind in plan)
-    tasks = (plan, plan.values(), repeat(grid), repeat(settings), kind_shifts)
     with ThreadPoolExecutor(max_workers=max(1, min(len(plan), _cpu_count()))) as pool:
-        done = dict(zip(plan, pool.map(_score_kind, *tasks)))
+        done = dict(zip(plan, pool.map(_score_kind, *zip(*tasks))))
     reports = {r.claim: r for kind_reports, _ in done.values() for r in kind_reports}
     sweep = [r for kind in sweep_kinds for r in done[kind][1]]
     return [reports[spec.claim_id] for spec in specs], sweep

@@ -183,16 +183,16 @@ def write_json(path: str | Path, bundle: ReportBundle) -> None:
     atomic_write(path, render_json(bundle))
 
 
-def _axis(vals: Sequence[float], want_log: bool, origin: float, extent: float):
+def _axis(vals: Sequence[float], origin: float, extent: float):
     """One chart axis over ``vals``: the map from a value to its pixel, and
     the (pixel, label) pair of each tick.
 
-    The axis is log10 when asked and every value is positive, else linear.
+    The axis is log10 when every value is positive, else linear.
     A zero range widens by 1 on each side.  The y axis passes origin
     ``height - margin`` and a negative extent, since pixels grow downward.
     """
     vals = [float(v) for v in vals]
-    logged = want_log and all(v > 0 for v in vals)
+    logged = all(v > 0 for v in vals)
     if logged:
         vals = [math.log10(v) for v in vals]
     lo, hi = min(vals), max(vals)
@@ -210,17 +210,13 @@ def _axis(vals: Sequence[float], want_log: bool, origin: float, extent: float):
 
 
 def render_line_chart(
-    title: str,
-    series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
-    *,
-    log_x: bool = False,
-    log_y: bool = False,
+    title: str, series: Sequence[tuple[str, Sequence[float], Sequence[float]]]
 ) -> str:
     """A standalone SVG 1.1 document with one polyline per series.
 
-    Log axes apply only when every coordinate on that axis is positive;
-    otherwise the axis silently stays linear, which keeps the renderer
-    total on arbitrary data.
+    Each axis is logarithmic when every coordinate on it is positive;
+    otherwise it silently stays linear, which keeps the renderer total on
+    arbitrary data.
     """
     width, height = _WIDTH, _HEIGHT
     margin = 64.0
@@ -232,8 +228,8 @@ def render_line_chart(
     finite_y = [y for _, _, ys in series for y in ys if math.isfinite(y)]
     if not finite_x or not finite_y:
         finite_x, finite_y = [0.0, 1.0], [0.0, 1.0]
-    px, x_ticks = _axis(finite_x, log_x, margin, width - 2 * margin)
-    py, y_ticks = _axis(finite_y, log_y, height - margin, -(height - 2 * margin))
+    px, x_ticks = _axis(finite_x, margin, width - 2 * margin)
+    py, y_ticks = _axis(finite_y, height - margin, -(height - 2 * margin))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -313,10 +313,21 @@ def build_table(
         raise ValueError(f"limit must be >= 1, got {limit}")
     if shift_headroom < 0:
         raise ValueError(f"shift_headroom must be >= 0, got {shift_headroom}")
-    if kind.variant is Variant.CUSTOM:
-        raise UnsupportedKind("custom kinds are built via FunctionTable.from_values")
+    _check_buildable(kind, limit + shift_headroom)
     values = _sieves.sieve(kind.variant.value, kind.order, limit + shift_headroom)
     return FunctionTable(kind, limit, shift_headroom, values)
+
+
+def _check_buildable(kind: FunctionKind, span: int) -> None:
+    """Refuse a kind that no sieve builds over 1..span without wrapping."""
+    if kind.variant is Variant.CUSTOM:
+        raise UnsupportedKind("custom kinds are built via FunctionTable.from_values")
+    if kind.variant is Variant.DIVISOR:
+        if (peak := _sieves._divisor_peak(kind.order, span)) >= 2**63:
+            raise ValueError(
+                f"divisor{kind.order} reaches {peak} within 1..{span}, past "
+                "int64; lower the order or the span"
+            )
 
 
 def prefix_sums(table: FunctionTable) -> PrefixSums:

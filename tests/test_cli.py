@@ -170,8 +170,12 @@ class TestRefusesBeforeSieving:
              "error: code=USAGE unknown function kind: 'bogus'"),
             ("claims=thm3.1-twin,nosuch\n", 2,
              "error: code=UNKNOWNCLAIM unknown claim 'nosuch'; known claims: "),
+            # Parsed, but sieved by no filler: refused before the other kinds.
+            ("kinds=custom:foo,eulerphi\n", 2,
+             "error: code=UNSUPPORTED custom kinds are built via "
+             "FunctionTable.from_values"),
         ],
-        ids=["kind", "claim"],
+        ids=["kind", "claim", "custom"],
     )
     def test_report(self, capsys, tmp_path, text, code, prefix):
         cfg = tmp_path / "exp.cfg"
@@ -180,6 +184,18 @@ class TestRefusesBeforeSieving:
         got, _, err = run(capsys, "report", "--config", str(cfg), "--out-dir", str(out))
         assert got == code
         assert err.startswith(prefix) and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_claims_divisor_order_past_int64(self, capsys, tmp_path):
+        # d_86 passes int64 within 1..65537 (the grid's max plus shift 1),
+        # so its claims are refused before Λ, d₂, φ or μ² is sieved.
+        out = tmp_path / "out"
+        argv = ["claims", "--divisor-order", "86", "--grid", "1000,65536"]
+        line = (
+            "error: code=USAGE divisor86 reaches 9677454984517622016 within "
+            "1..65537, past int64; lower the order or the span\n"
+        )
+        assert run(capsys, *argv, "--out-dir", str(out)) == (1, "", line)
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -176,8 +176,6 @@ class TestSvg:
         svg = render_line_chart(
             "demo",
             [("a", [1, 10, 100], [3.0, 2.0, 5.0]), ("b", [1, 10, 100], [1.0, 4.0, 2.0])],
-            log_x=True,
-            log_y=False,
         )
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
@@ -186,12 +184,10 @@ class TestSvg:
         assert "demo" in svg
 
     def test_single_point_degenerate_range(self):
-        svg = render_line_chart("p", [("s", [5], [7.0])], log_x=False, log_y=False)
+        svg = render_line_chart("p", [("s", [5], [7.0])])
         ET.fromstring(svg)  # must stay well-formed
 
     def test_log_axes_require_positive(self):
-        svg = render_line_chart(
-            "mixed", [("s", [1, 2, 3], [-1.0, 2.0, 3.0])], log_x=False, log_y=True
-        )
+        svg = render_line_chart("mixed", [("s", [1, 2, 3], [-1.0, 2.0, 3.0])])
         # Negative data forces the y-axis back to linear; still well-formed.
         ET.fromstring(svg)

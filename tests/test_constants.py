@@ -29,6 +29,7 @@ from corrlab import (
     type2,
 )
 from corrlab import constants
+from corrlab.config import ExperimentConfig
 from corrlab.report import CLAIM_HEADER, render_csv
 
 
@@ -342,3 +343,40 @@ class TestMeasuredConstantConsistency:
             assert twin.constant[i] == float(density_estimate(lam, x, 2).c_min)
             assert musq.constant[i] == float(density_estimate(mu, x, 1).c_min)
             assert goldbach.constant[i] == float(density_estimate(lam, x, 2).d_of_x)
+
+
+@pytest.fixture(scope="module")
+def default_reports():
+    """Every claim's report over the grid `claims` and `report` default to."""
+    grid = ExperimentConfig().x_grid
+    return {r.claim: r for r in evaluate_claims(ALL_CLAIMS, grid)}
+
+
+class TestWhatAVerdictMeasures:
+    @pytest.mark.parametrize(
+        "claim_id",
+        [s.claim_id for s in constants.claim_specs(ALL_CLAIMS) if s.uses_constant],
+    )
+    def test_computed_over_bound_is_form_over_shape(self, default_reports, claim_id):
+        # A claim's constant is measured from the very sum it then judges, so
+        # the sum cancels: computed/bound = B/(x·K(x)), with B the bilinear
+        # form and K(x) the bound at constant 1.  A verdict reads B and the
+        # bound's shape, never the correlation.  The two sides differ only by
+        # the roundings of a ratio, a product, a few logs and powers and a
+        # float of an exact sum, each within a few 2⁻⁵³; 1e-12 covers them
+        # all, and a verdict that read the correlation would miss it by far.
+        settings = ClaimSettings()
+        (spec,) = constants.claim_specs([claim_id])
+        report = default_reports[claim_id]
+        t = build_table(spec.kind_fn(settings), max(report.grid))
+        rows = zip(report.grid, report.computed, report.bound, report.verdicts)
+        checked = 0
+        for x, computed, bound, verdict in rows:
+            if verdict == "vacuous":
+                continue
+            form = float(bilinear_rhs(t, x))
+            shape = spec.bound_fn(float(x), 1.0, settings)
+            assert computed / bound == pytest.approx(form / (x * shape), rel=1e-12), x
+            checked += 1
+        assert checked
+

@@ -28,6 +28,9 @@ INVOCATIONS = (
     # An exact kind at an even x, so type-2's middle term is an integer.
     ["correlate", "--kind", "divisor", "--x", "100000", "--shift", "1,2",
      "--type2", "--out", "corr.csv"],
+    # An int8 table through type-1 and type-2's reversed view.
+    ["correlate", "--kind", "musquared", "--x", "100000", "--shift", "1,2",
+     "--type2", "--out", "corr.csv"],
     ["constants", "--kind", "eulerphi", "--x", "100000", "--shift", "2",
      "--out", "const.csv"],
     ["constants", "--kind", "vonmangoldt", "--x", "100000", "--shift", "2",
@@ -53,6 +56,11 @@ INVOCATIONS = (
     ["sieve", "--kind", "masterupsilon", "--limit", "600000", "--headroom", "64",
      "--out", "table.csv"],
     ["sieve", "--kind", "one", "--limit", "600000", "--headroom", "64",
+     "--out", "table.csv"],
+    # Every kind sieved narrower than int64 (int8, int16) is printed.
+    ["sieve", "--kind", "liouville", "--limit", "600000", "--headroom", "64",
+     "--out", "table.csv"],
+    ["sieve", "--kind", "bigomega", "--limit", "600000", "--headroom", "64",
      "--out", "table.csv"],
     # d_17(2^19) = C(35, 16) passes 2^31 in a span that fits int32.
     ["sieve", "--kind", "divisor17", "--limit", "524288", "--headroom", "1",

@@ -5,7 +5,10 @@ operand takes the compensated route, so no caller picks a kernel.  Integer
 dtypes that cast to int64 without loss (every signed integer dtype, uint8
 to uint32, and bool) take the int64 path; uint64 operands and object arrays
 of Python ints are summed as Python ints (:func:`counted_dots` refuses
-them), so no entry ever wraps.  On the
+them), so no entry ever wraps.  An operand that is not already a contiguous
+int64 or float64 array, such as a narrow table or a reversed view, is cast
+one chunk at a time into a buffer that the kernel makes once per call
+(:func:`_chunk_reader`), so no kernel copies a whole operand.  On the
 int64 path a dot product runs as one ``np.dot`` when a conservative bound
 proves the whole reduction fits in int64; otherwise the products are formed
 in int64 when they fit and summed in rows short enough that no row total
@@ -28,7 +31,7 @@ over a chunk after the first (products, nonzero masks, the term counts of
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,8 +40,9 @@ import numpy as np
 _SAFE_PRODUCT_BITS = 62
 
 # Chunk length of the operand walks: two int64 chunks fit in L2 together.
-# It bounds the int64 product and digit temporaries of the blocked reduction,
-# and is a multiple of _FLOAT_BLOCK so float block totals do not depend on it.
+# It bounds the buffers narrow operands are cast into and the int64 product
+# and digit temporaries of the blocked reduction, and is a multiple of
+# _FLOAT_BLOCK so float block totals do not depend on it.
 _CHUNK = 1 << 16
 
 # Digit width for the high/low split of oversized operands.
@@ -60,12 +64,39 @@ def _bits(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())).bit_length()
 
 
-def _exact_operand(a: np.ndarray) -> np.ndarray:
-    """``a`` as int64 when its dtype casts there without loss, otherwise as
-    Python ints (object dtype)."""
-    if np.can_cast(a.dtype, np.int64):
-        return np.asarray(a, dtype=np.int64)
-    return a.astype(object, copy=False)
+def _chunk_reader(
+    a: np.ndarray, dtype, width: int
+) -> Callable[[int, int], np.ndarray]:
+    """A function (start, stop) -> ``a[start:stop]`` as a contiguous
+    ``dtype`` array, for spans of at most ``width`` entries.
+
+    When ``a`` already is one, each span is a view.  Otherwise it is cast
+    into one buffer made here, which the next call overwrites, so a caller
+    uses each span before it reads the next.
+    """
+    if a.dtype == dtype and a.flags.c_contiguous:
+        return lambda start, stop: a[start:stop]
+    buffer = np.empty(min(width, a.size), dtype)
+
+    def read(start: int, stop: int) -> np.ndarray:
+        part = a[start:stop]
+        out = buffer[: part.size]
+        out[...] = part
+        return out
+
+    return read
+
+
+def _chunks(
+    a: np.ndarray, b: np.ndarray, dtype
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Aligned ``_CHUNK``-entry spans of two equal-length operands, each
+    read by :func:`_chunk_reader` as ``dtype``; a self dot product casts
+    each span once."""
+    read_a, read_b = _chunk_reader(a, dtype, _CHUNK), _chunk_reader(b, dtype, _CHUNK)
+    for start in range(0, a.size, _CHUNK):
+        x = read_a(start, start + _CHUNK)
+        yield x, x if b is a else read_b(start, start + _CHUNK)
 
 
 def _sum_int64(p: np.ndarray, bits: int) -> int:
@@ -125,18 +156,12 @@ def dot(
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if _is_float(a, b):
-        af = np.ascontiguousarray(a, dtype=np.float64)
-        bf = np.ascontiguousarray(b, dtype=np.float64)
-        return math.fsum(_block_dots(af, bf))
-    a, b = _exact_operand(a), _exact_operand(b)
-    if a.dtype == object or b.dtype == object:
+        chunks = _chunks(a, b, np.float64)
+        return math.fsum(t for x, y in chunks for t in _block_dots(x, y))
+    if not (np.can_cast(a.dtype, np.int64) and np.can_cast(b.dtype, np.int64)):
         return int(np.dot(a.astype(object), b.astype(object))) if a.size else 0
     ba, bb = bits if bits is not None else (_bits(a), _bits(b))
-    total = 0
-    for start in range(0, a.size, _CHUNK):
-        stop = start + _CHUNK
-        total += _dot_exact_core(a[start:stop], b[start:stop], ba, bb)
-    return total
+    return sum(_dot_exact_core(x, y, ba, bb) for x, y in _chunks(a, b, np.int64))
 
 
 def counted_dots(
@@ -173,15 +198,18 @@ def counted_dots(
     if exact and bits is None:
         bits = max(_bits(a[:n]), _bits(b[: n + reach]))
     dtype = np.int64 if exact else np.float64
+    # A narrow or reversed operand is cast once per chunk here, so every
+    # np.dot below gets contiguous blocks, as dot gives it.
+    read_a = _chunk_reader(a, dtype, _CHUNK)
+    read_b = _chunk_reader(b, dtype, _CHUNK + reach)
     totals = [0] * len(offsets)
     partials: list[list[float]] = [[] for _ in offsets]
     terms = [0] * len(offsets)
     for start in range(0, n, _CHUNK):
         m = min(_CHUNK, n - start)
-        # A reversed view is copied once here, so every np.dot below gets
-        # contiguous blocks, as dot gives it.
-        head = np.ascontiguousarray(a[start : start + m], dtype=dtype)
-        window = np.ascontiguousarray(b[start : start + m + reach], dtype=dtype)
+        window = read_b(start, start + m + reach)
+        # A type-1 walk reads one table as both operands: cast it once.
+        head = window[:m] if a is b else read_a(start, start + m)
         head_nonzero, nonzero = head != 0, window != 0
         for i, o in enumerate(offsets):
             terms[i] += int(np.count_nonzero(head_nonzero & nonzero[o : o + m]))
@@ -197,10 +225,12 @@ def counted_dots(
 def exact_sum(a: np.ndarray, bits: int | None = None) -> int:
     """Return ``sum(a)`` of an integer array exactly as a Python int;
     ``bits`` bounds the bit length of max|a|, as for :func:`dot`."""
-    a = _exact_operand(a)
-    if a.dtype == object:
-        return int(a.sum())
-    return _sum_int64(a, _bits(a) if bits is None else bits)
+    if not np.can_cast(a.dtype, np.int64):
+        return int(a.astype(object).sum())
+    bits = _bits(a) if bits is None else bits
+    read = _chunk_reader(a, np.int64, _CHUNK)
+    chunks = (read(s, s + _CHUNK) for s in range(0, a.size, _CHUNK))
+    return sum(_sum_int64(chunk, bits) for chunk in chunks)
 
 
 def sums_fit_int64(a: np.ndarray, bits: int | None = None) -> bool:
@@ -214,9 +244,9 @@ def running_sums(a: np.ndarray, bits: int | None = None) -> np.ndarray:
     """S(0), S(1), ..., S(n) of ``a``, with S(0) = 0; ``bits`` as for
     :func:`exact_sum`.
 
-    Integer sums are exact: int64, written in one pass, when every partial
-    sum provably fits, else Python ints.  Float sums are written block by
-    block by :func:`_float_runs`, far below ordinary cumsum drift.
+    Integer sums are exact: int64, when every partial sum provably fits,
+    else Python ints.  Float sums are written block by block by
+    :func:`_float_runs`, far below ordinary cumsum drift.
     """
     if _is_float(a):
         af = np.ascontiguousarray(a, dtype=np.float64)
@@ -225,13 +255,21 @@ def running_sums(a: np.ndarray, bits: int | None = None) -> np.ndarray:
         for _ in _float_runs(af, out[1:]):
             pass
         return out
-    a = _exact_operand(a)
-    if a.dtype != object and sums_fit_int64(a, bits):
-        out = np.empty(a.size + 1, dtype=np.int64)
-        out[0] = 0
+    if not (np.can_cast(a.dtype, np.int64) and sums_fit_int64(a, bits)):
+        return np.concatenate([np.zeros(1, dtype=object), np.cumsum(a, dtype=object)])
+    out = np.empty(a.size + 1, dtype=np.int64)
+    out[0] = 0
+    if a.dtype == np.int64:
         np.cumsum(a, out=out[1:])
         return out
-    return np.concatenate([np.zeros(1, dtype=object), np.cumsum(a, dtype=object)])
+    # Any other dtype is cast into the reader's buffer, so each chunk can
+    # carry the sum so far in its first entry.
+    read = _chunk_reader(a, np.int64, _CHUNK)
+    for s in range(0, a.size, _CHUNK):
+        chunk = read(s, s + _CHUNK)
+        chunk[0] += out[s]
+        np.cumsum(chunk, out=out[s + 1 : s + 1 + chunk.size])
+    return out
 
 
 def running_dot(
@@ -246,10 +284,10 @@ def running_dot(
     if not _is_float(b):
         bound = None if bits is None else (bits, bits + b.size.bit_length())
         return dot(a, running_sums(b, bits)[1:], bound)
-    af = np.ascontiguousarray(a, dtype=np.float64)
+    read = _chunk_reader(a, np.float64, _FLOAT_BLOCK)
     bf = np.ascontiguousarray(b, dtype=np.float64)
     runs = _float_runs(bf, np.empty(min(_FLOAT_BLOCK, bf.size)))
-    return math.fsum(float(np.dot(af[s : s + run.size], run)) for s, run in runs)
+    return math.fsum(float(np.dot(read(s, s + run.size), run)) for s, run in runs)
 
 
 def _block_dots(a: np.ndarray, b: np.ndarray) -> list[float]:

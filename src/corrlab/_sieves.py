@@ -5,7 +5,9 @@ Position ``i`` of an output array holds the value at the integer ``n = i + 1``.
 entries (the segmented sieve of Bays & Hudson, *BIT* 17, 1977) and hands
 each window, a view of the output, to its kind's filler.  A filler writes
 n = lo + 1 .. lo + size from state built once from the primes <= √span, so
-no temporary spans the whole range.
+no temporary spans the whole range.  Λ and Υ are float64; every integer kind
+is written in the narrowest signed dtype that holds the square of a bound on
+max|f| proved before sieving, so no product of two entries wraps.
 
 - d_l, φ, λ and Ω are rules on the exponents in n = ∏ p^e and share one
   factor pass, the multiplicative-function sieve of Crandall & Pomerance,
@@ -54,14 +56,18 @@ def primes_upto(span: int) -> np.ndarray:
 
 def sieve(name: str, order: int, span: int) -> np.ndarray:
     """f(1..span) for the kind labelled ``name`` (a ``Variant`` value;
-    ``order`` is the divisor tower's height): int64, or float64 for Λ and Υ.
+    ``order`` is the divisor tower's height): float64 for Λ and Υ, and for
+    every integer kind the narrowest signed dtype that holds max|f|², so
+    no product of two entries wraps (:func:`_exact_dtype`).
     """
     primes = primes_upto(math.isqrt(span)).tolist()
     # Made before any filler's window buffers.  Made after them, the output
     # kept them resident once freed (glibc's heap layout): `corrlab claims`
     # peaked about 6.5 MiB higher per thread.
-    real = name in ("vonmangoldt", "masterupsilon")
-    out = np.empty(span, dtype=np.float64 if real else np.int64)
+    if name in ("vonmangoldt", "masterupsilon"):
+        out = np.empty(span, dtype=np.float64)
+    else:
+        out = np.empty(span, dtype=_exact_dtype(name, order, span))
     if name == "divisor":
         rule = lambda p, e: math.comb(e + order - 1, order - 1)
         fill, _ = _factor_filler(span, primes, rule, np.multiply)
@@ -79,6 +85,25 @@ def sieve(name: str, order: int, span: int) -> np.ndarray:
     for lo in range(0, span, _WINDOW):
         fill(out[lo : lo + _WINDOW], lo)
     return out
+
+
+def _exact_dtype(name: str, order: int, span: int) -> type:
+    """The narrowest of int8, int16 and int32 that holds peak², else int64,
+    for a bound ``peak`` on max|f| over 1..span known before sieving, so
+    the product of two entries never wraps: |μ²|, |λ| and 1 are at most 1,
+    Ω(n) <= log₂ n, φ(n) <= n, and d_l peaks at :func:`_divisor_peak`."""
+    if name == "divisor":
+        peak = _divisor_peak(order, span)
+    elif name == "eulerphi":
+        peak = span
+    elif name == "bigomega":
+        peak = span.bit_length() - 1
+    else:
+        peak = 1
+    for dtype in (np.int8, np.int16, np.int32):
+        if peak * peak <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
 
 
 def _divisor_peak(order: int, span: int) -> int:
@@ -199,7 +224,8 @@ def _squarefree_window(squares: list[int], win: np.ndarray, lo: int) -> None:
 
 def _prime_power_filler(span: int, primes: list[int]):
     """Λ's filler: log p at the prime powers p^k, zero elsewhere.  The prime
-    powers p^k >= p² <= span and their logs are listed once."""
+    powers p^k >= p² <= span and their logs are listed once, and the flags
+    of each window's primes reuse one buffer, made after the output."""
     powers, logs = [], []
     for p in primes:
         q = p * p
@@ -208,10 +234,11 @@ def _prime_power_filler(span: int, primes: list[int]):
             logs.append(math.log(p))
             q *= p
     powers, logs = np.array(powers, dtype=np.int64), np.array(logs)
+    is_prime = np.empty(min(span, _WINDOW), dtype=bool)
 
     def fill(win: np.ndarray, lo: int) -> None:
-        size = win.size
-        flags = np.ones(size, dtype=bool)  # flags[i] <=> lo + 1 + i is prime
+        flags = is_prime[: win.size]  # flags[i] <=> lo + 1 + i is prime
+        flags.fill(True)
         if lo == 0:
             flags[0] = False  # n = 1
         for p in primes:
@@ -220,7 +247,7 @@ def _prime_power_filler(span: int, primes: list[int]):
         win.fill(0.0)
         # math.log, not np.log: the two differ in the last ulp on some primes.
         win[at] = np.fromiter(map(math.log, (at + lo + 1).tolist()), np.float64, at.size)
-        hit = (powers > lo) & (powers <= lo + size)
+        hit = (powers > lo) & (powers <= lo + win.size)
         win[powers[hit] - lo - 1] = logs[hit]
 
     return fill

@@ -168,12 +168,15 @@ def double_sum_lhs_oracle(
     """
     _check_budget(x, oracle_cap)
     _check_range(table, x)
-    vals = table.values
-    f = vals[:x].tolist()  # f[n - 1] is f(n)
+    vals = table.values[:x]
+    f = vals.tolist()  # f[n - 1] is f(n)
     if table.is_exact:
-        # One bound for every row: each is a slice of f(1..x), so when no sum
-        # of those entries can overflow, a plain int64 sum is exact.
-        fits = sums_fit_int64(vals[:x])
+        # One cast of at most the cap's entries, so no row sum recasts a
+        # narrow table.  One bound for every row: each is a slice of
+        # f(1..x), so when no sum of those entries can overflow, a plain
+        # int64 sum is exact.
+        vals = vals.astype(np.int64)
+        fits = sums_fit_int64(vals)
         total = 0
         for n in range(1, x):
             row = vals[n:x]  # f(n+1) + ... + f(x)

@@ -2,8 +2,9 @@
 
 A :class:`FunctionTable` holds f(1..limit) (plus optional headroom for
 shifted reads) for one :class:`FunctionKind`.  The payload's dtype is its
-mode: int64 is exact (the integer-valued kinds) and float64 is floating
-(Λ and Υ).  Tables and their prefix sums are immutable and safe to share
+mode: a signed integer dtype is exact (the integer-valued kinds, each sieved
+in the narrowest one that holds its products) and float64 is floating (Λ
+and Υ).  Tables and their prefix sums are immutable and safe to share
 across threads.
 """
 
@@ -16,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _sieves
-from ._accum import _bits, _exact_operand, running_sums
+from ._accum import _bits, running_sums
 from .errors import RangeError, UnsupportedKind
 
 
@@ -27,6 +28,14 @@ def _as_values(values) -> np.ndarray:
     if arr.dtype.kind == "f" and all(isinstance(v, int) for v in values):
         return np.array(values, dtype=object)
     return arr
+
+
+def _exact_operand(a: np.ndarray) -> np.ndarray:
+    """``a`` as int64 when its dtype casts there without loss, otherwise as
+    Python ints (object dtype)."""
+    if np.can_cast(a.dtype, np.int64):
+        return np.asarray(a, dtype=np.int64)
+    return a.astype(object, copy=False)
 
 
 def _integer_valued(a: np.ndarray) -> bool:
@@ -162,8 +171,9 @@ class FunctionTable:
         Extra trailing entries so shifted reads f(n + l) stay in range.
     values : numpy.ndarray
         Length ``limit + shift_headroom``; position i holds f(i + 1).
-        int64 (exact) or float64 (floating); any other dtype is refused.
-        Stored as a read-only view that cannot be made writeable again.
+        A signed integer dtype, int8 to int64 (exact), or float64
+        (floating); any other dtype is refused.  Stored as a read-only view
+        that cannot be made writeable again.
 
     Exact tables record the bit length of max|f| once, when they are built,
     so the exact kernels need not scan the values for it.
@@ -185,9 +195,10 @@ class FunctionTable:
                 f"payload length {self.values.shape} does not match "
                 f"limit {self.limit} + headroom {self.shift_headroom}"
             )
-        if self.values.dtype not in (np.int64, np.float64):
+        if not (self.is_exact or self.values.dtype == np.float64):
             raise ValueError(
-                f"payload dtype must be int64 or float64, got {self.values.dtype}"
+                "payload dtype must be a signed integer or float64, "
+                f"got {self.values.dtype}"
             )
         self.values.setflags(write=False)
         # A view of a read-only array cannot be made writeable, so the bound
@@ -204,7 +215,7 @@ class FunctionTable:
 
     @property
     def is_exact(self) -> bool:
-        return self.values.dtype == np.int64
+        return self.values.dtype.kind == "i"
 
     def value(self, n: int):
         """f(n) as a Python scalar; out-of-range reads are an error."""
@@ -306,8 +317,9 @@ def build_table(
         shift_headroom: extra entries beyond the limit for shifted reads.
 
     Returns:
-        An immutable FunctionTable: exact (int64) for the integer-valued
-        kinds, floating (float64) for Λ and Υ.
+        An immutable FunctionTable: exact for the integer-valued kinds, in
+        the narrowest signed dtype that holds max|f|², and floating
+        (float64) for Λ and Υ.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from corrlab import EULER_PHI, FunctionTable, build_table, prefix_sums
 from corrlab._accum import (
+    _CHUNK,
     _SPLIT_BITS,
     _bits,
     _dot_exact_core,
@@ -346,3 +348,58 @@ class TestDtypeDispatch:
         # 2**62 + 2**62 overflows int64, so the sums run on Python ints.
         big = np.full(n, 2**62, dtype=np.int64)
         assert running_dot(big, big, 63) == 2**124 * n * (n + 1) // 2
+
+
+class TestNarrowOperands:
+    """Every kernel gives on int8, int16 and int32 operands what it gives on
+    the same values in int64, on both sides of a chunk edge and on reversed
+    views, and casts them one chunk at a time."""
+
+    @staticmethod
+    def _results(a, b, bits):
+        n = a.size - 3
+        return (
+            dot(a, b),
+            dot(a, b, (bits, bits)),
+            dot(a, a),
+            dot(a, np.linspace(-1.0, 1.0, a.size)),
+            counted_dots(a, b, n, [0, 1, 3], None),
+            counted_dots(a, a, n, [0, 2], bits),
+            exact_sum(a),
+            exact_sum(b, bits),
+            running_sums(a).tolist(),
+            running_dot(a, b),
+            running_dot(a, b, bits),
+            running_dot(np.linspace(-1.0, 1.0, a.size), b.astype(np.float64)),
+        )
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.int16, np.int32], ids=["int8", "int16", "int32"]
+    )
+    def test_equal_to_int64(self, dtype, n):
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(n)
+        wide = rng.integers(info.min, info.max, size=(2, n + 3), endpoint=True)
+        narrow = wide.astype(dtype)
+        bits = max(-int(info.min), int(info.max)).bit_length()
+        for view in (lambda x: x, lambda x: x[::-1]):
+            got = self._results(view(narrow[0]), view(narrow[1]), bits)
+            want = self._results(view(wide[0]), view(wide[1]), bits)
+            assert got == want
+
+    def test_casts_one_chunk_at_a_time(self):
+        # A whole int64 copy of the operand would take 8 MiB.
+        a = np.resize(np.array([1, 0, -1, 0, 1], dtype=np.int8), 1 << 20)
+        for kernel in (
+            lambda: dot(a, a[::-1]),
+            lambda: counted_dots(a, a, a.size - 8, [0, 8], 1),
+            lambda: exact_sum(a),
+        ):
+            tracemalloc.start()
+            try:
+                kernel()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 << 20

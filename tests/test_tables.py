@@ -337,6 +337,54 @@ class TestFactorSieve:
             _sieves._factor_filler(100, [2, 3, 5, 7], sigma2, np.multiply)
 
 
+class TestNarrowPayloads:
+    """Each integer kind is sieved in the narrowest signed dtype that holds
+    the square of a bound on max|f| known before sieving, so the product of
+    two entries never wraps; Λ and Υ stay float64."""
+
+    NARROWEST = (np.int8, np.int16, np.int32, np.int64)
+
+    @staticmethod
+    def bound(kind, values: np.ndarray, span: int) -> int:
+        """max|f| over 1..span is at most this: 1 for one, μ² and λ,
+        ⌊log₂ span⌋ for Ω, span for φ; d_l's peak is its largest value."""
+        if kind == BIG_OMEGA:
+            return math.floor(math.log2(span))
+        if kind == EULER_PHI:
+            return span
+        if kind.label.startswith("divisor"):
+            return int(values.max())
+        return 1
+
+    @pytest.mark.parametrize("span", [*range(1, 10), 10**6 + 2])
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
+    def test_dtype_holds_the_square_of_the_bound(self, kind, span):
+        values = build_table(kind, span).values
+        if kind in (VON_MANGOLDT, MASTER_UPSILON):
+            assert values.dtype == np.float64
+            return
+        peak = self.bound(kind, values, span)
+        assert int(np.abs(values.astype(np.int64)).max()) <= peak
+        fits = [d for d in self.NARROWEST if peak * peak <= np.iinfo(d).max]
+        assert values.dtype == fits[0]
+
+    def test_dtypes_at_a_million(self):
+        dtypes = {
+            kind.label: build_table(kind, 10**6, 2).values.dtype for kind in ALL_KINDS
+        }
+        assert dtypes == {
+            "one": np.int8,
+            "vonmangoldt": np.float64,
+            "eulerphi": np.int64,
+            "musquared": np.int8,
+            "liouville": np.int8,
+            "bigomega": np.int16,  # Ω <= ⌊log₂ span⌋ = 19, and 19² > 127
+            "masterupsilon": np.float64,
+            "divisor2": np.int32,  # d(720720) = 240, and 240² > 32767
+            "divisor3": np.int32,
+        }
+
+
 # -- table plumbing -----------------------------------------------------------
 
 
@@ -422,16 +470,27 @@ class TestBuildTable:
         assert type1(t, 4, 1).value == 29.0
 
     @pytest.mark.parametrize(
+        "dtype", [np.int8, np.int16, np.int32], ids=["int8", "int16", "int32"]
+    )
+    def test_signed_integer_dtypes_are_exact(self, dtype):
+        t = FunctionTable(FunctionKind.custom("x"), 4, 1, np.arange(1, 6, dtype=dtype))
+        assert t.is_exact and t.values.dtype == dtype
+        assert t.value(5) == 5 and type(t.value(5)) is int
+        # 1·2 + 2·3 + 3·4 + 4·5, the same Python int as from int64 values.
+        assert type1(t, 4, 1).value == 40
+
+    @pytest.mark.parametrize(
         "values",
         [
-            np.arange(1, 6, dtype=np.int32),
             np.ones(5, dtype=bool),
+            np.arange(1, 6, dtype=np.uint8),
+            np.arange(1, 6, dtype=np.float32),
             np.array([1, 2, 3, 4, 5], dtype=object),
         ],
-        ids=["int32", "bool", "object"],
+        ids=["bool", "uint8", "float32", "object"],
     )
-    def test_refuses_dtypes_other_than_int64_and_float64(self, values):
-        with pytest.raises(ValueError, match="int64 or float64"):
+    def test_refuses_dtypes_other_than_signed_integers_and_float64(self, values):
+        with pytest.raises(ValueError, match="signed integer or float64"):
             FunctionTable(FunctionKind.custom("x"), 5, 0, values=values)
 
 

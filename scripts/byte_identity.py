@@ -72,9 +72,8 @@ INVOCATIONS = (
     # The payload follows the kind: no --mode flag, exit 1 with one usage line.
     ["sieve", "--kind", "divisor", "--limit", "2000", "--headroom", "2",
      "--mode", "floating", "--out", "table.csv"],
-    ["identity-check", "--kind", "eulerphi", "--x", "3000", "--exact"],
+    ["identity-check", "--kind", "eulerphi", "--x", "3000"],
     ["identity-check", "--kind", "vonmangoldt", "--x", "3000"],
-    ["identity-check", "--kind", "vonmangoldt", "--x", "3000", "--exact"],
     ["identity-check", "--kind", "masterupsilon", "--x", "5000"],
     # Over the oracle's cap: exit 2 with one BUDGET line.
     ["identity-check", "--kind", "eulerphi", "--x", "20000000"],
@@ -95,8 +94,7 @@ INVOCATIONS = (
     ["minoverlap", "--n", "2", "--heuristic"],
     # n = 4 draws every move's first index from a width of 1.
     ["minoverlap", "--n", "4", "--heuristic", "--seed", "1"],
-    # Caps below any input: exit 1 with one usage line.
-    ["identity-check", "--kind", "divisor", "--x", "10", "--oracle-cap", "-1"],
+    # A cap below any input: exit 1 with one usage line.
     ["minoverlap", "--n", "4", "--exact", "--cap", "-1"],
     # Integer kinds, exact, in the correlation sweep.
     ["report", "--config", "integer.cfg", "--grid", "1000,10000,100000",

@@ -18,13 +18,7 @@ from . import minoverlap as mo
 from .config import ExperimentConfig
 from .correlation import _check_shifts, type1_sweep, type2
 from .errors import ConfigError, CorrlabError
-from .identity import (
-    DEFAULT_ORACLE_CAP,
-    DEFAULT_TOLERANCE,
-    _check_budget,
-    _check_tolerance,
-    identity_check,
-)
+from .identity import _check_budget, identity_check
 from .report import (
     CLAIM_HEADER,
     CORRELATION_HEADER,
@@ -75,9 +69,6 @@ def build_parser() -> _Parser:
     ip = sub.add_parser("identity-check", help="cross-validate the decomposition")
     ip.add_argument("--kind", required=True)
     ip.add_argument("--x", type=int, required=True)
-    ip.add_argument("--exact", action="store_true", help="require literal equality")
-    ip.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    ip.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     ip.set_defaults(func=_cmd_identity_check)
 
     cp = sub.add_parser("correlate", help="shifted or representation sums")
@@ -146,7 +137,7 @@ def _cmd_sieve(args) -> int:
     table = build_table(kind, args.limit, args.headroom)
     ps = prefix_sums(table)
     if args.out:
-        rows = tuple((n, table.value(n)) for n in range(1, table.span + 1))
+        rows = tuple(zip(range(1, table.span + 1), table.values.tolist()))
         write_csv(args.out, ResultTable("table", ("n", "value"), rows))
         print(f"wrote {args.out}")
     print(
@@ -158,13 +149,10 @@ def _cmd_sieve(args) -> int:
 
 def _cmd_identity_check(args) -> int:
     kind = FunctionKind.parse(args.kind)
-    # Bad flags, and an x past the oracle's cap, are refused before the sieve.
-    _check_tolerance(args.tolerance)
-    _check_budget(args.x, args.oracle_cap)
+    # An x past the oracle's cap is refused before the sieve.
+    _check_budget(args.x)
     table = build_table(kind, args.x)
-    if args.exact and not table.is_exact:
-        raise ValueError(f"{kind.label} has no exact payload; drop --exact")
-    res = identity_check(table, args.x, args.tolerance, args.oracle_cap)
+    res = identity_check(table, args.x)
     if res.equal:
         print(f"lhs=rhs value={format_cell(res.lhs)} mode={_mode(res.exact)}")
         return 0

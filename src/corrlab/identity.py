@@ -8,6 +8,10 @@ shift j with n + j <= x equals the bilinear form
 and the underlying two-sequence identity holds for arbitrary finite real
 sequences.  Each side is computable by independent routes so the code can
 cross-validate itself exactly.
+
+The check takes no settings.  Exactness is read from the payload: integer
+sides must be equal, float sides agree within :data:`DEFAULT_TOLERANCE`.
+The quadratic oracle refuses any x above :data:`DEFAULT_ORACLE_CAP`.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ from .tables import (
     _integer_valued,
 )
 
-#: Largest x the quadratic-cost oracle will accept by default.
+#: Largest x the quadratic-cost oracle accepts.
 DEFAULT_ORACLE_CAP = 100_000
 
-#: Default relative tolerance for floating identity comparisons.
+#: Relative tolerance for floating identity comparisons.
 DEFAULT_TOLERANCE = 1e-9
 
 
@@ -76,32 +80,25 @@ class IdentityCheckResult:
     exact: bool
 
 
-def _check_tolerance(tolerance: float) -> None:
-    """Refuse a tolerance that is not a positive finite number."""
-    if not (0 < tolerance < math.inf):
-        raise ValueError(f"tolerance must be a positive finite number, got {tolerance}")
+def _check_budget(x: int) -> None:
+    """Refuse an x above the oracle's cap."""
+    if x > DEFAULT_ORACLE_CAP:
+        raise BudgetExceeded(
+            f"oracle is quadratic; x={x} exceeds its cap {DEFAULT_ORACLE_CAP}"
+        )
 
 
-def _check_budget(x: int, oracle_cap: int) -> None:
-    """Refuse an oracle cap below 1, or an x above the cap."""
-    if oracle_cap < 1:
-        raise ValueError(f"oracle cap must be >= 1, got {oracle_cap}")
-    if x > oracle_cap:
-        raise BudgetExceeded(f"oracle is quadratic; x={x} exceeds its cap {oracle_cap}")
-
-
-def _verdict(lhs, rhs, exact: bool, tolerance: float) -> IdentityCheckResult:
-    """Exact sides must be equal; float sides within ``tolerance``, relative
-    to the larger side (or absolute below 1)."""
+def _verdict(lhs, rhs, exact: bool) -> IdentityCheckResult:
+    """Exact sides must be equal; float sides within
+    :data:`DEFAULT_TOLERANCE`, relative to the larger side (or absolute
+    below 1)."""
     if exact:
         return IdentityCheckResult(lhs, rhs, lhs == rhs, True)
-    equal = abs(lhs - rhs) <= tolerance * max(1.0, abs(lhs), abs(rhs))
+    equal = abs(lhs - rhs) <= DEFAULT_TOLERANCE * max(1.0, abs(lhs), abs(rhs))
     return IdentityCheckResult(lhs, rhs, equal, False)
 
 
-def general_area_identity(
-    pair: SequencePair, tolerance: float = DEFAULT_TOLERANCE
-) -> IdentityCheckResult:
+def general_area_identity(pair: SequencePair) -> IdentityCheckResult:
     """Evaluate both sides of the two-sequence identity
 
         sum_{j=2}^{n} r_j h_j
@@ -114,12 +111,11 @@ def general_area_identity(
     pairs are summed exactly, float pairs with compensation; at n = 1 every
     dot product is empty and both sides are 0.
     """
-    _check_tolerance(tolerance)
     r, h = pair.r, pair.h
     lhs = dot(r[1:], h[1:])
     S, H = running_sums(r), running_sums(h)
     rhs = dot(h[1:], S[2:] + S[1:-1]) - 2 * dot(r[:-1], H[-1] - H[1:-1])
-    return _verdict(lhs, rhs, pair.exact, tolerance)
+    return _verdict(lhs, rhs, pair.exact)
 
 
 def bilinear_rhs(
@@ -158,15 +154,13 @@ def _bilinear_prefix(
     return dot(vals, prefix.sums[1:x], (bits, prefix._sum_bits))
 
 
-def double_sum_lhs_oracle(
-    table: FunctionTable, x: int, oracle_cap: int = DEFAULT_ORACLE_CAP
-) -> int | float:
+def double_sum_lhs_oracle(table: FunctionTable, x: int) -> int | float:
     """sum_{n<=x-1} sum_{j<=x-n} f(n)·f(n+j) by direct summation.
 
     The independent quadratic-cost route: each outer n sums its inner range
     directly from the value array, never touching the prefix-sum machinery.
     """
-    _check_budget(x, oracle_cap)
+    _check_budget(x)
     _check_range(table, x)
     vals = table.values[:x]
     f = vals.tolist()  # f[n - 1] is f(n)
@@ -200,15 +194,9 @@ def pair_sum_closed_form(table: FunctionTable, x: int) -> int | float:
     return (s * s - q) / 2.0
 
 
-def identity_check(
-    table: FunctionTable,
-    x: int,
-    tolerance: float = DEFAULT_TOLERANCE,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-) -> IdentityCheckResult:
+def identity_check(table: FunctionTable, x: int) -> IdentityCheckResult:
     """Cross-validate the decomposition: quadratic oracle vs the prefix route
     of the bilinear form (never the closed form, which is a third route)."""
-    _check_tolerance(tolerance)
-    lhs = double_sum_lhs_oracle(table, x, oracle_cap)
+    lhs = double_sum_lhs_oracle(table, x)
     rhs = _bilinear_prefix(table, x)
-    return _verdict(lhs, rhs, table.is_exact, tolerance)
+    return _verdict(lhs, rhs, table.is_exact)

@@ -67,7 +67,7 @@ def test_criterion_1_decomposition_identity_three_routes(acceptance_log):
         table = build_table(kind, grid[-1])
         ps = prefix_sums(table)
         for x in grid:
-            lhs = double_sum_lhs_oracle(table, x, oracle_cap=grid[-1])
+            lhs = double_sum_lhs_oracle(table, x)
             rhs = bilinear_rhs(table, x, ps)
             closed = pair_sum_closed_form(table, x)
             if not (lhs == rhs == closed):
@@ -76,7 +76,7 @@ def test_criterion_1_decomposition_identity_three_routes(acceptance_log):
         table = build_table(kind, grid[-1])
         ps = prefix_sums(table)
         for x in grid:
-            lhs = double_sum_lhs_oracle(table, x, oracle_cap=grid[-1])
+            lhs = double_sum_lhs_oracle(table, x)
             rhs = bilinear_rhs(table, x, ps)
             closed = pair_sum_closed_form(table, x)
             scale = max(1.0, abs(lhs), abs(rhs), abs(closed))

@@ -45,8 +45,9 @@ class TestExitCodes:
         assert err.count("\n") == 1  # exactly one stderr line
 
     def test_exact_on_real_kind_fails_before_the_oracle(self, capsys, monkeypatch):
-        # --exact on a real-valued kind is a usage error known from the table
-        # alone, so the quadratic oracle must never run.
+        # identity-check has no --exact flag: exactness is read from the
+        # payload. The flag is a usage error known from the argv alone, so the
+        # quadratic oracle must never run.
         def no_oracle(*args, **kwargs):
             raise AssertionError("identity_check ran")
 
@@ -87,14 +88,12 @@ class TestExitCodes:
             ["minoverlap", "--n", "7"],
             # A shift list that parses to no shifts at all.
             ["correlate", "--kind", "musquared", "--x", "100", "--shift", ","],
-            # A tolerance must be a positive finite number, even where the
-            # sums agree exactly.
+            # identity-check has a fixed tolerance and oracle cap; the flags
+            # that once set them are refused whatever their value.
             ["identity-check", "--kind", "vonmangoldt", "--x", "100",
              "--tolerance", "-1"],
             ["identity-check", "--kind", "divisor", "--x", "100",
              "--tolerance", "nan"],
-            # A cap is a value: below the smallest input it refuses a usage
-            # error, not a computation that went over budget.
             ["identity-check", "--kind", "divisor", "--x", "10",
              "--oracle-cap", "-1"],
             ["identity-check", "--kind", "divisor", "--x", "10",
@@ -118,6 +117,12 @@ class TestExitCodes:
              "--threads", "2"],
             # The payload follows the kind; sieve has no --mode either.
             ["sieve", "--kind", "musquared", "--limit", "100", "--mode", "floating"],
+            # identity-check has a fixed tolerance and oracle cap, so it takes
+            # neither as a flag, even with a value that was once valid.
+            ["identity-check", "--kind", "vonmangoldt", "--x", "100",
+             "--tolerance", "1e-6"],
+            ["identity-check", "--kind", "divisor", "--x", "10",
+             "--oracle-cap", "200000"],
         ],
     )
     def test_no_thread_flag(self, capsys, argv):
@@ -144,12 +149,8 @@ class TestRefusesBeforeSieving:
         [
             (["--x", "20000000"], 2,
              "code=BUDGET oracle is quadratic; x=20000000 exceeds its cap 100000"),
-            (["--x", "100", "--tolerance", "-1"], 1,
-             "code=USAGE tolerance must be a positive finite number, got -1.0"),
-            (["--x", "100", "--oracle-cap", "0"], 1,
-             "code=USAGE oracle cap must be >= 1, got 0"),
         ],
-        ids=["over-cap", "tolerance", "oracle-cap"],
+        ids=["over-cap"],
     )
     def test_identity_check(self, capsys, flags, code, line):
         got, out, err = run(capsys, "identity-check", "--kind", "eulerphi", *flags)
@@ -246,7 +247,7 @@ class TestIdentityCheck:
         assert code == 0
 
     def test_mismatch_is_exit_2(self, capsys, monkeypatch):
-        def mismatch(table, x, tolerance, oracle_cap):
+        def mismatch(table, x):
             return IdentityCheckResult(7, 8, False, table.is_exact)
 
         monkeypatch.setattr(cli, "identity_check", mismatch)

@@ -128,6 +128,25 @@ INVOCATIONS = (
     # (exit 2) and a divisor order whose values pass int64 (exit 1).
     ["report", "--config", "custom.cfg", "--out-dir", "o"],
     ["claims", "--divisor-order", "86", "--grid", "1000,65536", "--out-dir", "o"],
+    # The sieve's total at 10^7 on the int64 path, and Λ's and Υ's float
+    # totals, whose last run must match the prefix array's last entry.
+    ["sieve", "--kind", "musquared", "--limit", "10000000"],
+    ["sieve", "--kind", "vonmangoldt", "--limit", "10000000", "--headroom", "64"],
+    ["sieve", "--kind", "masterupsilon", "--limit", "1000000"],
+    # Each claim parameter out of range: exit 1 with one usage line.
+    ["claims", "--grid", "1000", "--epsilon", "1.5", "--out-dir", "o"],
+    ["claims", "--grid", "1000", "--divisor-order", "1", "--out-dir", "o"],
+    ["claims", "--grid", "1000", "--c", "0", "--out-dir", "o"],
+    ["claims", "--grid", "1000", "--slack", "-1", "--out-dir", "o"],
+    ["claims", "--grid", "1000", "--shift", "0", "--out-dir", "o"],
+    # An empty grid and one that starts below 3.
+    ["claims", "--grid", "", "--out-dir", "o"],
+    ["claims", "--grid", "2,10", "--out-dir", "o"],
+    # Every claim parameter set away from its default.
+    ["claims", "--claims", "cor6.4-musq", "--grid", "1000,10000", "--slack", "0.5",
+     "--epsilon", "0.2", "--c", "2", "--divisor-order", "2", "--shift", "3",
+     "--out-dir", "o"],
+    ["report", "--grid", "1000,100", "--out-dir", "o"],
 )
 
 #: Files placed in each working directory before the run.

@@ -222,9 +222,16 @@ def counted_dots(
     return list(zip(totals, terms))
 
 
-def exact_sum(a: np.ndarray, bits: int | None = None) -> int:
-    """Return ``sum(a)`` of an integer array exactly as a Python int;
-    ``bits`` bounds the bit length of max|a|, as for :func:`dot`."""
+def total(a: np.ndarray, bits: int | None = None) -> int | float:
+    """``running_sums(a, bits)[-1]`` with no array of them: an integer
+    array's exact sum as a Python int (``bits`` bounds max|a| as for
+    :func:`dot`), or a float array's last run, formed in one block."""
+    if _is_float(a):
+        af = np.ascontiguousarray(a, dtype=np.float64)
+        last = 0.0
+        for _, run in _float_runs(af, np.empty(min(_FLOAT_BLOCK, af.size))):
+            last = run[-1]
+        return float(last)
     if not np.can_cast(a.dtype, np.int64):
         return int(a.astype(object).sum())
     bits = _bits(a) if bits is None else bits
@@ -235,14 +242,14 @@ def exact_sum(a: np.ndarray, bits: int | None = None) -> int:
 
 def sums_fit_int64(a: np.ndarray, bits: int | None = None) -> bool:
     """Whether every sum of entries of the int64 array ``a`` provably fits;
-    ``bits`` as for :func:`exact_sum`."""
+    ``bits`` as for :func:`total`."""
     bits = _bits(a) if bits is None else bits
     return bits + a.size.bit_length() <= _SAFE_PRODUCT_BITS
 
 
 def running_sums(a: np.ndarray, bits: int | None = None) -> np.ndarray:
     """S(0), S(1), ..., S(n) of ``a``, with S(0) = 0; ``bits`` as for
-    :func:`exact_sum`.
+    :func:`total`.
 
     Integer sums are exact: int64, when every partial sum provably fits,
     else Python ints.  Float sums are written block by block by

@@ -15,9 +15,10 @@ from pathlib import Path
 from . import __version__
 from . import constants as consts
 from . import minoverlap as mo
-from .config import ExperimentConfig
-from .correlation import _check_shifts, type1_sweep, type2
-from .errors import ConfigError, CorrlabError
+from ._accum import total
+from .config import ClaimSettings, ExperimentConfig, _check_shifts
+from .correlation import type1_sweep, type2
+from .errors import CorrlabError
 from .identity import _check_budget, identity_check
 from .report import (
     CLAIM_HEADER,
@@ -32,7 +33,7 @@ from .report import (
     write_json,
     write_svg,
 )
-from .tables import FunctionKind, build_table, prefix_sums
+from .tables import FunctionKind, build_table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,13 +89,14 @@ def build_parser() -> _Parser:
 
     lp = sub.add_parser("claims", help="score catalogued bounds over an x-grid")
     lp.add_argument("--claims", default="all", help="ids, comma-separated, or 'all'")
-    lp.add_argument("--grid", default="1000,10000,100000,1000000")
-    lp.add_argument("--shift", type=int, default=1)
-    lp.add_argument("--divisor-order", type=int, default=3)
-    lp.add_argument("--epsilon", type=float, default=0.1)
-    lp.add_argument("--c", type=float, default=1.0)
-    lp.add_argument("--slack", type=float, default=0.25)
-    lp.add_argument("--out-dir", default="out")
+    # Every other default is the config's, applied by with_overrides.
+    lp.add_argument("--grid")
+    lp.add_argument("--shift", type=int, default=ClaimSettings.shift)
+    lp.add_argument("--divisor-order", type=int)
+    lp.add_argument("--epsilon", type=float)
+    lp.add_argument("--c", type=float)
+    lp.add_argument("--slack", type=float)
+    lp.add_argument("--out-dir")
     lp.add_argument("--no-svg", action="store_true")
     lp.set_defaults(func=_cmd_claims)
 
@@ -135,14 +137,14 @@ def _correlation_row(r) -> tuple:
 def _cmd_sieve(args) -> int:
     kind = FunctionKind.parse(args.kind)
     table = build_table(kind, args.limit, args.headroom)
-    ps = prefix_sums(table)
+    s = total(table.values[: table.limit], table._value_bits)
     if args.out:
         rows = tuple(zip(range(1, table.span + 1), table.values.tolist()))
         write_csv(args.out, ResultTable("table", ("n", "value"), rows))
         print(f"wrote {args.out}")
     print(
         f"kind={kind.label} limit={table.limit} headroom={table.shift_headroom} "
-        f"mode={_mode(table.is_exact)} sum={format_cell(ps.s(table.limit))}"
+        f"mode={_mode(table.is_exact)} sum={format_cell(s)}"
     )
     return 0
 
@@ -225,13 +227,7 @@ def _claims_step(cfg: ExperimentConfig, want_svg: bool, sweep=False) -> ReportBu
     # An unknown kind is refused before any table is built.
     kinds = [FunctionKind.parse(label) for label in cfg.kinds] if sweep else []
     ids = list(cfg.claims) if cfg.claims else list(consts.ALL_CLAIMS)
-    settings = consts.ClaimSettings(
-        shift=cfg.shifts[0],
-        divisor_order=cfg.divisor_order,
-        epsilon=cfg.epsilon,
-        c=cfg.c,
-        slack=cfg.slack,
-    )
+    settings = cfg.claim_settings()
     claims, swept = consts._evaluate(ids, cfg.x_grid, settings, kinds, cfg.shifts)
     out = Path(cfg.out_dir)
     rows = tuple(row for c in claims for row in c.rows())
@@ -267,8 +263,8 @@ def _claims_step(cfg: ExperimentConfig, want_svg: bool, sweep=False) -> ReportBu
 
 
 def _cmd_claims(args) -> int:
-    cfg = ExperimentConfig(
-        x_grid=_parse_int_list(args.grid),
+    cfg = ExperimentConfig().with_overrides(
+        x_grid=None if args.grid is None else _parse_int_list(args.grid),
         shifts=(args.shift,),
         slack=args.slack,
         epsilon=args.epsilon,
@@ -277,13 +273,13 @@ def _cmd_claims(args) -> int:
         claims=tuple(_claims_from_arg(args.claims)),
         out_dir=args.out_dir,
     )
-    for c in _claims_step(cfg.validate(), not args.no_svg).claims:
+    for c in _claims_step(cfg, not args.no_svg).claims:
         tally = {v: c.verdicts.count(v) for v in ("consistent", "violated", "vacuous")}
         print(
             f"{c.claim}: consistent={tally['consistent']} "
             f"violated={tally['violated']} vacuous={tally['vacuous']}"
         )
-    print(f"wrote {Path(args.out_dir) / 'claims.csv'}")
+    print(f"wrote {Path(cfg.out_dir) / 'claims.csv'}")
     return 0
 
 
@@ -353,7 +349,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:
         print(f"error: code=USAGE {exc}", file=sys.stderr)
         return 1
     except CorrlabError as exc:

@@ -1,4 +1,6 @@
-"""Experiment configuration: a flat key=value file plus flag overrides.
+"""Experiment configuration, and the one check of each claim input that
+the CLI, config files and the library share (:class:`ClaimSettings`,
+:func:`check_grid`, :func:`_check_shifts`).
 
 The on-disk form is deliberately trivial — one ``key=value`` per line,
 ``#`` comments, lists comma-separated — so configs diff cleanly and round-
@@ -12,11 +14,65 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, fields, replace
+from typing import Sequence
 
 from .errors import ConfigError
 
 #: Keys that do not affect computed results and are excluded from the digest.
 EXECUTION_KEYS = frozenset({"out_dir"})
+
+
+def _check_shifts(shifts: Sequence[int]) -> None:
+    """Refuse the first shift below 1; callers check before they sieve."""
+    for l in shifts:
+        if l < 1:
+            raise ConfigError(f"shift must be >= 1, got {l}")
+
+
+def check_grid(grid: Sequence[int]) -> tuple[int, ...]:
+    """The x-grid as a tuple of ints, refused unless it is non-empty,
+    strictly increasing and starts at 3 or more."""
+    grid = tuple(int(x) for x in grid)
+    if not grid:
+        raise ConfigError("x_grid must be non-empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"x_grid must be strictly increasing: {grid}")
+    if grid[0] < 3:
+        raise ConfigError("x_grid entries must be >= 3")
+    return grid
+
+
+@dataclass(frozen=True)
+class ClaimSettings:
+    """Free parameters the catalogued bounds leave open, checked when made.
+
+    ``shift`` is the fixed shift l0 for the generic shifted-correlation
+    claims (the twin claim always uses 2); ``divisor_order`` is the tower
+    height for the d_l claims; ``epsilon``/``c`` shape the cancellation
+    envelope of the signed-correlation claim; ``slack`` is how much a
+    computed value may fall inside a (1+o(1)) bound before being called
+    violated.
+    """
+
+    shift: int = 1
+    divisor_order: int = 3
+    epsilon: float = 0.1
+    c: float = 1.0
+    slack: float = 0.25
+
+    def __post_init__(self) -> None:
+        _check_shifts([self.shift])
+        for key in ("slack", "c"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite: {getattr(self, key)}")
+        if self.slack < 0:
+            raise ConfigError(f"slack must be non-negative: {self.slack}")
+        if not 0 < self.epsilon < 1:
+            raise ConfigError(f"epsilon must lie in (0, 1): {self.epsilon}")
+        if self.c <= 0:
+            raise ConfigError(f"c must be positive: {self.c}")
+        if self.divisor_order < 2:
+            raise ConfigError(f"divisor_order must be >= 2: {self.divisor_order}")
 
 
 @dataclass(frozen=True)
@@ -33,10 +89,10 @@ class ExperimentConfig:
     payload_mode: str = "auto"
     oracle_cap: int = 100_000
     tolerance: float = 1e-9
-    slack: float = 0.25
-    epsilon: float = 0.1
-    c: float = 1.0
-    divisor_order: int = 3
+    slack: float = ClaimSettings.slack
+    epsilon: float = ClaimSettings.epsilon
+    c: float = ClaimSettings.c
+    divisor_order: int = ClaimSettings.divisor_order
     claims: tuple[str, ...] = ()  # empty selects the full catalogue
     seed: int = 0
     budget: int = 100_000
@@ -47,29 +103,16 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def validate(self) -> "ExperimentConfig":
-        if not self.x_grid:
-            raise ConfigError("x_grid must be non-empty")
-        if any(b <= a for a, b in zip(self.x_grid, self.x_grid[1:])):
-            raise ConfigError(f"x_grid must be strictly increasing: {self.x_grid}")
-        if self.x_grid[0] < 3:
-            raise ConfigError("x_grid entries must be >= 3")
+        check_grid(self.x_grid)
         if not self.shifts:
             raise ConfigError("shifts must be non-empty")
         if any(s < 1 for s in self.shifts):
             raise ConfigError(f"shifts must be positive: {self.shifts}")
-        for key in ("tolerance", "slack", "c"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite: {getattr(self, key)}")
+        if not math.isfinite(self.tolerance):
+            raise ConfigError(f"tolerance must be finite: {self.tolerance}")
         if self.tolerance <= 0:
             raise ConfigError(f"tolerance must be positive: {self.tolerance}")
-        if self.slack < 0:
-            raise ConfigError(f"slack must be non-negative: {self.slack}")
-        if not 0 < self.epsilon < 1:
-            raise ConfigError(f"epsilon must lie in (0, 1): {self.epsilon}")
-        if self.c <= 0:
-            raise ConfigError(f"c must be positive: {self.c}")
-        if self.divisor_order < 2:
-            raise ConfigError(f"divisor_order must be >= 2: {self.divisor_order}")
+        self.claim_settings()
         if self.oracle_cap < 1 or self.budget < 1:
             raise ConfigError("oracle_cap and budget must be positive")
         if self.payload_mode != "auto":
@@ -77,6 +120,16 @@ class ExperimentConfig:
         if self.segment_size < 0 or self.seed < 0:
             raise ConfigError("segment_size and seed must be >= 0")
         return self
+
+    def claim_settings(self) -> ClaimSettings:
+        """The checked claim parameters; l0 is the first of the (non-empty) shifts."""
+        return ClaimSettings(
+            shift=self.shifts[0],
+            divisor_order=self.divisor_order,
+            epsilon=self.epsilon,
+            c=self.c,
+            slack=self.slack,
+        )
 
     # -- serialization -----------------------------------------------------
     def to_text(self) -> str:

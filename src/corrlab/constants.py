@@ -36,6 +36,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Sequence
 
+from .config import ClaimSettings, check_grid
 from .correlation import CorrelationResult, type1, type1_sweep, type2
 from .errors import DegenerateSum, UnknownClaim, ZeroCorrelation
 from .identity import bilinear_rhs
@@ -119,25 +120,6 @@ def density_estimate(table: FunctionTable, x: int, l: int) -> DensityEstimate:
         d_of_x=_share(table, x, x * t2, b),
         diagonal_ratio=1 - _share(table, x, t2, b),
     )
-
-
-@dataclass(frozen=True)
-class ClaimSettings:
-    """Free parameters the catalogued bounds leave open.
-
-    ``shift`` is the fixed shift l0 for the generic shifted-correlation
-    claims (the twin claim always uses 2); ``divisor_order`` is the tower
-    height for the d_l claims; ``epsilon``/``c`` shape the cancellation
-    envelope of the signed-correlation claim; ``slack`` is how much a
-    computed value may fall inside a (1+o(1)) bound before being called
-    violated.
-    """
-
-    shift: int = 1
-    divisor_order: int = 3
-    epsilon: float = 0.1
-    c: float = 1.0
-    slack: float = 0.25
 
 
 @dataclass(frozen=True)
@@ -462,13 +444,7 @@ def _evaluate(
     (duplicates kept), then the grid, then the shifts.
     """
     specs = claim_specs(claim_ids)
-    grid = tuple(int(x) for x in grid)
-    if not grid:
-        raise ValueError("x-grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"x-grid must be strictly increasing, got {grid}")
-    if grid[0] < 3:
-        raise ValueError("x-grid entries must be >= 3")
+    grid = check_grid(grid)
 
     plan: dict[FunctionKind, list[_ClaimSpec]] = {}
     for spec in specs:

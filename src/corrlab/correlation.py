@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._accum import counted_dots
+from .config import _check_shifts
 from .errors import RangeError
 from .tables import FunctionKind, FunctionTable, _check_range
 
@@ -36,13 +37,6 @@ class CorrelationResult:
     @property
     def shift_label(self) -> str:
         return "type2" if self.shift is None else str(self.shift)
-
-
-def _check_shifts(shifts: Sequence[int]) -> None:
-    """Refuse the first shift below 1; callers check before they sieve."""
-    for l in shifts:
-        if l < 1:
-            raise ValueError(f"shift must be >= 1, got {l}")
 
 
 def type1(table: FunctionTable, x: int, l: int) -> CorrelationResult:

@@ -54,7 +54,7 @@ class UnknownClaim(CorrlabError):
     code = "UNKNOWNCLAIM"
 
 
-class ConfigError(CorrlabError):
-    """An experiment configuration is malformed or inconsistent."""
+class ConfigError(CorrlabError, ValueError):
+    """An input value is malformed or out of range: a usage ValueError."""
 
     code = "CONFIG"

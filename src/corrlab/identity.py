@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import dot, exact_sum, running_dot, running_sums, sums_fit_int64
+from ._accum import dot, running_dot, running_sums, sums_fit_int64, total
 from .errors import BudgetExceeded, RangeError
 from .tables import (
     FunctionTable,
@@ -171,12 +171,12 @@ def double_sum_lhs_oracle(table: FunctionTable, x: int) -> int | float:
         # int64 sum is exact.
         vals = vals.astype(np.int64)
         fits = sums_fit_int64(vals)
-        total = 0
+        lhs = 0
         for n in range(1, x):
             row = vals[n:x]  # f(n+1) + ... + f(x)
-            inner = int(row.sum()) if fits else exact_sum(row)
-            total += f[n - 1] * inner
-        return total
+            inner = int(row.sum()) if fits else total(row)
+            lhs += f[n - 1] * inner
+        return lhs
     return math.fsum([f[n - 1] * vals[n:x].sum() for n in range(1, x)])
 
 
@@ -187,7 +187,7 @@ def pair_sum_closed_form(table: FunctionTable, x: int) -> int | float:
     bits = table._value_bits
     q = dot(vals, vals, (bits, bits))
     if table.is_exact:
-        s = exact_sum(vals, bits)
+        s = total(vals, bits)
         # s² and q have the same parity, so the pair count is integral.
         return (s * s - q) // 2
     s = float(np.sum(vals))

@@ -89,24 +89,6 @@ def format_cell(v) -> str:
     return str(v)
 
 
-def parse_cell(text: str):
-    """Inverse of :func:`format_cell` for round-trip checks."""
-    if text == "":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def atomic_write(path: str | Path, data: str | bytes) -> None:
     """Write a file via temp-then-rename so readers never see partial data."""
     path = Path(path)
@@ -135,15 +117,6 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 def write_csv(path: str | Path, table: ResultTable) -> None:
     atomic_write(path, render_csv(table.header, table.rows))
-
-
-def read_csv(path: str | Path, name: str = "") -> ResultTable:
-    """Parse a CSV written by :func:`write_csv` back into a ResultTable."""
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln != ""]
-    header = tuple(lines[0].split(","))
-    rows = tuple(tuple(parse_cell(c) for c in ln.split(",")) for ln in lines[1:])
-    return ResultTable(name=name or Path(path).stem, header=header, rows=rows)
 
 
 def _claim_to_jsonable(claim: ClaimReport) -> dict:

@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 from corrlab import EULER_PHI, FunctionTable, build_table, prefix_sums
 from corrlab._accum import (
     _CHUNK,
+    _FLOAT_BLOCK,
     _SPLIT_BITS,
     _bits,
     _dot_exact_core,
     counted_dots,
     dot,
-    exact_sum,
     running_dot,
     running_sums,
+    total,
 )
 
 
@@ -68,7 +69,7 @@ class TestExactDot:
         for v in edges:
             col = np.full(7, v, dtype=np.int64)
             assert dot(col, col) == 7 * int(v) ** 2
-            assert exact_sum(col) == 7 * int(v)
+            assert total(col) == 7 * int(v)
 
     def test_blocked_rows_and_tail(self):
         # 30-bit by 30-bit products take the blocked reduction with rows of
@@ -88,7 +89,7 @@ class TestExactDot:
         vals = np.array([rng.randrange(2**30, 2**31) for _ in range(301)], dtype=np.int64)
         a, b = vals[:150], vals[151:][::-1]
         assert dot(a, b) == _python_dot(a, b)
-        assert exact_sum(b) == sum(int(v) for v in b)
+        assert total(b) == sum(int(v) for v in b)
 
     def test_chunked_path(self):
         n = (1 << 21) + 17
@@ -161,7 +162,7 @@ class TestBoundedExactDot:
         a = np.array([m, -m, m, 1, -1, 0], dtype=np.int64)
         b = np.array([m, m, -m, -m, m, m], dtype=np.int64)
         assert _dot_exact_core(a, b, 63, 63) == _python_dot(a, b)
-        assert exact_sum(a, 63) == sum(int(v) for v in a)
+        assert total(a, 63) == sum(int(v) for v in a)
 
     def test_table_values_stay_read_only(self):
         # The bound is recorded once, so the values must never change under it.
@@ -189,7 +190,7 @@ class TestExactSumAndCumsum:
     def test_sum_matches_python(self):
         rng = random.Random(11)
         a = np.array([rng.randrange(-(2**50), 2**50) for _ in range(3000)], dtype=np.int64)
-        assert exact_sum(a) == sum(int(v) for v in a)
+        assert total(a) == sum(int(v) for v in a)
 
     def test_cumsum_matches_python(self):
         rng = random.Random(13)
@@ -217,8 +218,40 @@ class TestExactSumAndCumsum:
 
     def test_empty(self):
         z = np.array([], dtype=np.int64)
-        assert exact_sum(z) == 0
+        assert total(z) == 0
         assert running_sums(z).tolist() == [0]
+
+
+class TestTotal:
+    """total(a) is running_sums(a)[-1], bit for bit, on each side of a
+    float block's and a chunk's edge."""
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, _FLOAT_BLOCK - 1, _FLOAT_BLOCK + 1, _CHUNK - 1, _CHUNK + 1]
+    )
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.int8, np.int16, np.int32, np.int64, object],
+        ids=["int8", "int16", "int32", "int64", "past-int64"],
+    )
+    def test_integer_is_last_running_sum(self, dtype, n):
+        rng = np.random.default_rng(n)
+        if dtype is object:
+            ints = rng.integers(-1000, 1000, n).tolist()
+            a = np.array([v * 2**70 + 1 for v in ints], dtype=object)
+        else:
+            info = np.iinfo(dtype)
+            a = rng.integers(info.min, info.max, n, endpoint=True).astype(dtype)
+        want = int(running_sums(a)[-1])
+        for got in (total(a), total(a, _bits(a))):
+            assert type(got) is int and got == want
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, _FLOAT_BLOCK - 1, _FLOAT_BLOCK + 1, _CHUNK - 1, _CHUNK + 1]
+    )
+    def test_float_is_last_running_sum(self, n):
+        a = np.random.default_rng(n).standard_normal(n) * 1e3
+        assert total(a).hex() == float(running_sums(a)[-1]).hex()
 
 
 class TestUnsignedOperands:
@@ -232,7 +265,7 @@ class TestUnsignedOperands:
 
     def test_sum(self):
         a, _ = self._pair()
-        assert exact_sum(a) == sum(self.VALUES)
+        assert total(a) == sum(self.VALUES)
 
     def test_dot(self):
         a, b = self._pair()
@@ -365,8 +398,8 @@ class TestNarrowOperands:
             dot(a, np.linspace(-1.0, 1.0, a.size)),
             counted_dots(a, b, n, [0, 1, 3], None),
             counted_dots(a, a, n, [0, 2], bits),
-            exact_sum(a),
-            exact_sum(b, bits),
+            total(a),
+            total(b, bits),
             running_sums(a).tolist(),
             running_dot(a, b),
             running_dot(a, b, bits),
@@ -394,7 +427,7 @@ class TestNarrowOperands:
         for kernel in (
             lambda: dot(a, a[::-1]),
             lambda: counted_dots(a, a, a.size - 8, [0, 8], 1),
-            lambda: exact_sum(a),
+            lambda: total(a),
         ):
             tracemalloc.start()
             try:

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from corrlab import cli, constants
+from corrlab import _sieves, cli, constants
 from corrlab.cli import main
 from corrlab.correlation import type1
 from corrlab.identity import IdentityCheckResult
-from corrlab.report import read_csv
 from corrlab.tables import FunctionKind, build_table
+from csv_oracle import read_csv
 
 
 def run(capsys, *argv):
@@ -232,6 +233,21 @@ class TestSieve:
         table = read_csv(out_file)
         assert table.header == ("n", "value")
         assert table.rows == ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1))
+
+    @pytest.mark.parametrize("kind", ["musquared", "vonmangoldt"])
+    def test_peaks_at_the_table_plus_two_windows(self, capsys, kind):
+        # The printed total needs no array of running sums; an int64 or
+        # float64 one would add 8 MiB here.
+        limit = 2**20
+        table_bytes = build_table(FunctionKind.parse(kind), limit).values.nbytes
+        tracemalloc.start()
+        try:
+            assert main(["sieve", "--kind", kind, "--limit", str(limit)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < table_bytes + 2 * 8 * _sieves._WINDOW
 
 
 class TestIdentityCheck:

@@ -10,20 +10,26 @@ from fractions import Fraction
 
 import pytest
 
-from corrlab import ConfigError, ExperimentConfig, ReportBundle, ResultTable
+from corrlab import (
+    ClaimSettings,
+    ConfigError,
+    ExperimentConfig,
+    ReportBundle,
+    ResultTable,
+)
+from corrlab.cli import main
 from corrlab.report import (
     CLAIM_HEADER,
     atomic_write,
     bundle_to_jsonable,
     format_cell,
     make_meta,
-    parse_cell,
-    read_csv,
     render_csv,
     render_json,
     render_line_chart,
     write_csv,
 )
+from csv_oracle import parse_cell, read_csv
 
 
 class TestExperimentConfig:
@@ -91,6 +97,51 @@ class TestExperimentConfig:
         assert base.digest() == same_work.digest()
         assert base.digest() != different_work.digest()
         assert len(base.digest()) == 64  # sha256 hex
+
+
+class TestClaimSettings:
+    """The library refuses each claim parameter the CLI refuses, with the
+    CLI's message, before any table is built."""
+
+    @pytest.mark.parametrize(
+        "kwargs, flag, message",
+        [
+            ({"slack": math.nan}, "--slack=nan", "slack must be finite: nan"),
+            ({"slack": math.inf}, "--slack=inf", "slack must be finite: inf"),
+            ({"c": math.inf}, "--c=inf", "c must be finite: inf"),
+            ({"c": -math.inf}, "--c=-inf", "c must be finite: -inf"),
+            ({"slack": -5.0}, "--slack=-5", "slack must be non-negative: -5.0"),
+            ({"epsilon": 3.0}, "--epsilon=3", "epsilon must lie in (0, 1): 3.0"),
+            ({"epsilon": 0.0}, "--epsilon=0", "epsilon must lie in (0, 1): 0.0"),
+            ({"epsilon": 1.0}, "--epsilon=1", "epsilon must lie in (0, 1): 1.0"),
+            ({"epsilon": math.nan}, "--epsilon=nan", "epsilon must lie in (0, 1): nan"),
+            ({"c": 0.0}, "--c=0", "c must be positive: 0.0"),
+            ({"divisor_order": 1}, "--divisor-order=1", "divisor_order must be >= 2: 1"),
+        ],
+    )
+    def test_refuses_with_the_cli_message(self, capsys, tmp_path, kwargs, flag, message):
+        with pytest.raises(ConfigError) as exc:
+            ClaimSettings(**kwargs)
+        assert str(exc.value) == message
+        out = tmp_path / "out"
+        assert main(["claims", flag, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: code=USAGE {message}\n"
+        assert not out.exists()
+
+    def test_refuses_a_shift_as_every_command_does(self, capsys):
+        with pytest.raises(ConfigError, match=r"^shift must be >= 1, got 0$"):
+            ClaimSettings(shift=0)
+        assert main(["correlate", "--kind", "one", "--x", "10", "--shift", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: code=USAGE shift must be >= 1, got 0\n"
+
+    def test_config_error_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            ClaimSettings(divisor_order=0)
+
+    def test_config_defaults_are_the_settings_defaults(self):
+        cfg = ExperimentConfig()
+        assert cfg.claim_settings() == ClaimSettings(shift=cfg.shifts[0])
 
 
 class TestCells:

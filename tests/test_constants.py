@@ -141,6 +141,14 @@ class TestEvaluateClaim:
         with pytest.raises(ValueError):
             evaluate_claim("thm3.1-twin", [2, 10])
 
+    @pytest.mark.parametrize("grid", [[], [1000, 100], [2, 10]])
+    def test_grid_refused_as_the_config_refuses_it(self, grid):
+        with pytest.raises(ValueError) as api:
+            evaluate_claims(["thm3.1-twin"], grid)
+        with pytest.raises(ValueError) as cfg:
+            ExperimentConfig(x_grid=tuple(grid)).validate()
+        assert str(api.value) == str(cfg.value)
+
     def test_twin_claim_small_grid(self):
         rep = evaluate_claim("thm3.1-twin", [100, 1000, 10000])
         assert rep.claim == "thm3.1-twin"

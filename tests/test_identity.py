@@ -208,7 +208,7 @@ class TestDoubleSumOracle:
     @pytest.mark.parametrize("top", [2**20, 2**60], ids=["int64-rows", "exact-rows"])
     def test_row_sums_match_python(self, top):
         # Sums of 60 entries below 2**20 fit int64 and take the plain row
-        # sums; entries near 2**60 could overflow and take exact_sum.
+        # sums; entries near 2**60 could overflow and take total.
         rng = random.Random(top)
         vals = [rng.randrange(-top, top) for _ in range(60)]
         t = FunctionTable.from_values("rows", vals)

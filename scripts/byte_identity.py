@@ -147,6 +147,8 @@ INVOCATIONS = (
      "--epsilon", "0.2", "--c", "2", "--divisor-order", "2", "--shift", "3",
      "--out-dir", "o"],
     ["report", "--grid", "1000,100", "--out-dir", "o"],
+    # An empty grid is refused by report as by claims, not read as no flag.
+    ["report", "--grid", "", "--out-dir", "o"],
 )
 
 #: Files placed in each working directory before the run.

@@ -253,7 +253,9 @@ def running_sums(a: np.ndarray, bits: int | None = None) -> np.ndarray:
 
     Integer sums are exact: int64, when every partial sum provably fits,
     else Python ints.  Float sums are written block by block by
-    :func:`_float_runs`, far below ordinary cumsum drift.
+    :func:`_float_runs`, far below ordinary cumsum drift.  The result is
+    int64, object or float64, so a caller may add or subtract whole arrays
+    of sums; :func:`_running_sums_in` writes narrower ones.
     """
     if _is_float(a):
         af = np.ascontiguousarray(a, dtype=np.float64)
@@ -264,19 +266,37 @@ def running_sums(a: np.ndarray, bits: int | None = None) -> np.ndarray:
         return out
     if not (np.can_cast(a.dtype, np.int64) and sums_fit_int64(a, bits)):
         return np.concatenate([np.zeros(1, dtype=object), np.cumsum(a, dtype=object)])
-    out = np.empty(a.size + 1, dtype=np.int64)
+    return _running_sums_in(a, np.int64)
+
+
+def _running_sums_in(a: np.ndarray, dtype) -> np.ndarray:
+    """The exact running sums of the integer array ``a`` as ``dtype``,
+    which the caller has proven holds every one of them.
+
+    An ``a`` of another dtype is cast one chunk at a time into a buffer of
+    ``dtype``, so each chunk can carry the sum so far in its first entry
+    and no whole-span temporary is made.
+    """
+    out = np.empty(a.size + 1, dtype=dtype)
     out[0] = 0
-    if a.dtype == np.int64:
-        np.cumsum(a, out=out[1:])
+    if a.dtype == dtype:
+        np.cumsum(a, dtype=dtype, out=out[1:])
         return out
-    # Any other dtype is cast into the reader's buffer, so each chunk can
-    # carry the sum so far in its first entry.
-    read = _chunk_reader(a, np.int64, _CHUNK)
+    read = _chunk_reader(a, dtype, _CHUNK)
     for s in range(0, a.size, _CHUNK):
         chunk = read(s, s + _CHUNK)
         chunk[0] += out[s]
-        np.cumsum(chunk, out=out[s + 1 : s + 1 + chunk.size])
+        np.cumsum(chunk, dtype=dtype, out=out[s + 1 : s + 1 + chunk.size])
     return out
+
+
+def narrowest_int(bits: int) -> type:
+    """The narrowest of int8, int16 and int32 that holds every integer of
+    magnitude below 2**bits, else int64."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if bits < np.iinfo(dtype).bits:
+            return dtype
+    return np.int64
 
 
 def running_dot(

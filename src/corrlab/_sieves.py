@@ -27,6 +27,8 @@ from functools import partial
 
 import numpy as np
 
+from ._accum import narrowest_int
+
 # Entries per window.  On a 4 MiB L2, 2¹⁶-entry windows spend their time in
 # per-prime Python calls.  2²⁰ builds φ at 10⁷ about 20 % faster than 2¹⁸
 # but is slower at 10⁶, and its larger freed temporaries lift glibc's mmap
@@ -88,10 +90,10 @@ def sieve(name: str, order: int, span: int) -> np.ndarray:
 
 
 def _exact_dtype(name: str, order: int, span: int) -> type:
-    """The narrowest of int8, int16 and int32 that holds peak², else int64,
-    for a bound ``peak`` on max|f| over 1..span known before sieving, so
-    the product of two entries never wraps: |μ²|, |λ| and 1 are at most 1,
-    Ω(n) <= log₂ n, φ(n) <= n, and d_l peaks at :func:`_divisor_peak`."""
+    """The :func:`narrowest_int` that holds peak², for a bound ``peak`` on
+    max|f| over 1..span known before sieving, so the product of two entries
+    never wraps: |μ²|, |λ| and 1 are at most 1, Ω(n) <= log₂ n, φ(n) <= n,
+    and d_l peaks at :func:`_divisor_peak`."""
     if name == "divisor":
         peak = _divisor_peak(order, span)
     elif name == "eulerphi":
@@ -100,10 +102,7 @@ def _exact_dtype(name: str, order: int, span: int) -> type:
         peak = span.bit_length() - 1
     else:
         peak = 1
-    for dtype in (np.int8, np.int16, np.int32):
-        if peak * peak <= np.iinfo(dtype).max:
-            return dtype
-    return np.int64
+    return narrowest_int((peak * peak).bit_length())
 
 
 def _divisor_peak(order: int, span: int) -> int:

@@ -322,7 +322,7 @@ def _cmd_report(args) -> int:
             cfg = ExperimentConfig.from_text(Path(args.config).read_text())
         cfg = cfg.with_overrides(
             out_dir=args.out_dir,
-            x_grid=_parse_int_list(args.grid) if args.grid else None,
+            x_grid=None if args.grid is None else _parse_int_list(args.grid),
         )
     except FileNotFoundError:
         raise ValueError(f"config file not found: {args.config}")

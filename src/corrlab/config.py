@@ -106,8 +106,7 @@ class ExperimentConfig:
         check_grid(self.x_grid)
         if not self.shifts:
             raise ConfigError("shifts must be non-empty")
-        if any(s < 1 for s in self.shifts):
-            raise ConfigError(f"shifts must be positive: {self.shifts}")
+        _check_shifts(self.shifts)
         if not math.isfinite(self.tolerance):
             raise ConfigError(f"tolerance must be finite: {self.tolerance}")
         if self.tolerance <= 0:

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _sieves
-from ._accum import _bits, running_sums
+from ._accum import _bits, _running_sums_in, narrowest_int, running_sums, sums_fit_int64
 from .errors import RangeError, UnsupportedKind
 
 
@@ -266,11 +266,11 @@ def _check_range(table: FunctionTable, x: int) -> None:
 class PrefixSums:
     """Cumulative sums S(n) = sum of f(m) for m <= n, with S(0) = 0.
 
-    Sums are exact (int64, or Python ints past int64 in an object array)
-    or float64; any other dtype is refused.  ``_sum_bits`` bounds the bit
-    length of every |S(n)| of exact sums (None for float sums).
+    Sums are exact (a signed integer dtype, or Python ints in an object
+    array) or float64; any other dtype is refused.  ``_sum_bits`` bounds
+    the bit length of every |S(n)| of exact sums (None for float sums).
     :func:`prefix_sums` records bits(f) + limit.bit_length() without
-    reading the sums; when it is not given for int64 sums, it is measured
+    reading the sums; when it is not given for integer sums, it is measured
     once.
     """
 
@@ -282,14 +282,15 @@ class PrefixSums:
     def __post_init__(self) -> None:
         if self.sums.shape != (self.limit + 1,):
             raise ValueError("prefix array length must be limit + 1")
-        if self.sums.dtype not in (np.int64, object, np.float64):
+        dtype = self.sums.dtype
+        if not (dtype.kind == "i" or dtype in (object, np.float64)):
             raise ValueError(
-                "prefix sums dtype must be int64, object or float64, "
-                f"got {self.sums.dtype}"
+                "prefix sums dtype must be a signed integer, object or float64, "
+                f"got {dtype}"
             )
         self.sums.setflags(write=False)
         object.__setattr__(self, "sums", self.sums.view())
-        if self._sum_bits is None and self.sums.dtype == np.int64:
+        if self._sum_bits is None and dtype.kind == "i":
             object.__setattr__(self, "_sum_bits", _bits(self.sums))
 
     @property
@@ -345,10 +346,20 @@ def _check_buildable(kind: FunctionKind, span: int) -> None:
 def prefix_sums(table: FunctionTable) -> PrefixSums:
     """Running sums over the table's nominal range (headroom excluded).
 
-    Exact payloads accumulate exactly; floating payloads use compensated
-    blockwise summation so long prefixes stay accurate to ~2^-40 relative.
+    Exact payloads accumulate exactly, in the narrowest signed dtype that
+    holds every range sum S(n) - S(m), just as a table's dtype holds the
+    product of two entries: each |S(n)| is below 2**bound, with bound =
+    bits(f) + limit.bit_length(), so the dtype holds every magnitude below
+    2**(bound + 1).  Sums past 62 bits are Python ints.  Floating payloads
+    use compensated blockwise summation so long prefixes stay accurate to
+    ~2^-40 relative.
     """
-    bits = table._value_bits
-    sums = running_sums(table.values[: table.limit], bits)
-    bound = None if bits is None else bits + table.limit.bit_length()
+    values, bits = table.values[: table.limit], table._value_bits
+    if bits is None:
+        return PrefixSums(table.kind, table.limit, running_sums(values))
+    bound = bits + table.limit.bit_length()
+    if sums_fit_int64(values, bits):
+        sums = _running_sums_in(values, narrowest_int(bound + 1))
+    else:
+        sums = running_sums(values, bits)
     return PrefixSums(table.kind, table.limit, sums, bound)

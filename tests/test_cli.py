@@ -399,6 +399,23 @@ class TestClaims:
         assert code == 2
         assert "UNKNOWNCLAIM" in err
 
+    def test_zero_shift_reads_as_correlate_reads_it(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            "claims",
+            "--shift", "0",
+            "--grid", "1000",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert err == "error: code=USAGE shift must be >= 1, got 0\n"
+        code, _, err = run(
+            capsys, "correlate", "--kind", "one", "--x", "10", "--shift", "0"
+        )
+        assert code == 1
+        assert err == "error: code=USAGE shift must be >= 1, got 0\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_grid_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -564,6 +581,15 @@ class TestReport:
             )
             assert code == 1
             assert err == f"error: code=USAGE payload_mode must be auto, got {mode}\n"
+        assert list(out.iterdir()) == []
+
+    def test_empty_grid_is_refused_as_claims_refuses_it(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        for command in ("claims", "report"):
+            code, _, err = run(capsys, command, "--grid", "", "--out-dir", str(out))
+            assert code == 1
+            assert err == "error: code=USAGE x_grid must be non-empty\n"
         assert list(out.iterdir()) == []
 
     def test_missing_config_is_usage_error(self, capsys, tmp_path):

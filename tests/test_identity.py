@@ -376,3 +376,10 @@ class TestMemory:
         t = build_table(VON_MANGOLDT, 10**5)
         out_bytes = 8 * (t.limit + 1)
         assert _peak_bytes(lambda: prefix_sums(t)) < 1.1 * out_bytes
+
+    def test_exact_prefix_sums_peak_at_a_narrow_output_array(self):
+        # μ²'s sums at 2**20 fit int32: half the bytes of an int64 array,
+        # and no int64 temporary of the whole span.
+        t = build_table(MU_SQUARED, 2**20)
+        int64_bytes = 8 * (t.limit + 1)
+        assert _peak_bytes(lambda: prefix_sums(t)) < 0.6 * int64_bytes

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -27,11 +28,13 @@ from corrlab import (
     PrefixSums,
     RangeError,
     UnsupportedKind,
+    bilinear_rhs,
     build_table,
     prefix_sums,
     type1,
 )
 from corrlab import _sieves
+from corrlab._accum import _CHUNK
 from corrlab.cli import main
 
 # -- elementary oracles -------------------------------------------------------
@@ -516,18 +519,93 @@ class TestPrefixSums:
         with pytest.raises(RangeError):
             ps.s(-1)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_accepts_every_signed_integer_dtype(self, dtype):
+        ps = PrefixSums(CONSTANT_ONE, 2, np.array([0, 1, 2], dtype=dtype))
+        assert ps.is_exact and ps._sum_bits == 2
+        assert [ps.s(n) for n in range(3)] == [0, 1, 2]
+        assert all(type(ps.s(n)) is int for n in range(3))
+
     @pytest.mark.parametrize(
         "sums",
         [
             np.array([0, 0.5, 1.5], dtype=np.float32),
-            np.array([0, 1, 2], dtype=np.int32),
             np.array([False, True, True]),
+            np.array([0, 1, 2], dtype=np.uint8),
+            np.array([0, 1, 2], dtype=np.uint64),
         ],
-        ids=["float32", "int32", "bool"],
+        ids=["float32", "bool", "uint8", "uint64"],
     )
-    def test_refuses_dtypes_other_than_int64_object_and_float64(self, sums):
-        with pytest.raises(ValueError, match="int64, object or float64"):
+    def test_refuses_dtypes_other_than_signed_object_and_float64(self, sums):
+        with pytest.raises(ValueError, match="signed integer, object or float64"):
             PrefixSums(CONSTANT_ONE, 2, sums)
+
+
+def _narrowest_holding(bits: int):
+    """The first of int8..int64 whose range holds every |v| < 2**bits."""
+    return next(
+        d
+        for d in (np.int8, np.int16, np.int32, np.int64)
+        if 2**bits - 1 <= np.iinfo(d).max
+    )
+
+
+class TestNarrowPrefixSums:
+    """Exact prefix sums take the narrowest signed dtype that holds
+    2**(_sum_bits + 1), so a range sum S(n) - S(m) never wraps in it."""
+
+    CASES = [
+        (kind, limit)
+        for kind in (MU_SQUARED, LIOUVILLE, BIG_OMEGA, FunctionKind.divisor(2))
+        + (CONSTANT_ONE, EULER_PHI)
+        for limit in (500, 2**16, 2**20 + 1)
+    ]
+
+    @pytest.mark.parametrize(
+        "kind,limit", CASES, ids=[f"{k.label}-{n}" for k, n in CASES]
+    )
+    def test_dtype_sums_and_bilinear(self, kind, limit):
+        t = build_table(kind, limit)
+        ps = prefix_sums(t)
+        assert ps._sum_bits == t._value_bits + limit.bit_length()
+        assert ps.sums.dtype == _narrowest_holding(ps._sum_bits + 1)
+        expect = list(accumulate(t.values[:limit].tolist(), initial=0))
+        assert ps.sums.tolist() == expect
+        for n in {0, 1, limit // 2, limit - 1, limit}:
+            assert type(ps.s(n)) is int and ps.s(n) == expect[n]
+        edges = [x for x in (_CHUNK - 1, _CHUNK, _CHUNK + 1, limit) if 2 <= x <= limit]
+        for x in edges:
+            assert bilinear_rhs(t, x, ps) == bilinear_rhs(t, x), x
+
+    def test_dtypes_at_two_to_the_twenty(self):
+        dtypes = {
+            k.label: prefix_sums(build_table(k, 2**20)).sums.dtype
+            for k in (MU_SQUARED, EULER_PHI, VON_MANGOLDT)
+        }
+        assert dtypes == {
+            "musquared": np.int32,
+            "eulerphi": np.int64,
+            "vonmangoldt": np.float64,
+        }
+
+    @pytest.mark.parametrize("bound,dtype", [(30, np.int32), (31, np.int64)])
+    def test_edge_of_int32(self, bound, dtype):
+        # limit 3 adds 2 bits, so values of bound - 2 bits reach the bound.
+        peak = 2 ** (bound - 2) - 1
+        t = FunctionTable.from_values("edge", [peak, peak, -peak])
+        ps = prefix_sums(t)
+        assert ps._sum_bits == bound and ps.sums.dtype == dtype
+        assert [ps.s(n) for n in range(4)] == [0, peak, 2 * peak, peak]
+        # Every range sum, taken in the array's own dtype, is exact.
+        diffs = np.subtract.outer(ps.sums, ps.sums)
+        assert diffs.dtype == dtype
+        expect = [[ps.s(n) - ps.s(m) for m in range(4)] for n in range(4)]
+        assert diffs.tolist() == expect
+
+    def test_sums_past_62_bits_stay_python_ints(self):
+        t = FunctionTable.from_values("wide", [2**61, 2**61, 2**61])
+        ps = prefix_sums(t)
+        assert ps.sums.dtype == object and ps.s(3) == 3 * 2**61
 
 
 class TestFunctionKind:
